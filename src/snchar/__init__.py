@@ -13,7 +13,6 @@ from .bounds import (
 from .census import (
     CensusRecord,
     CensusResult,
-    ColumnCacheEntry,
     ColumnChecksumError,
     ColumnDivisibilityRecord,
     ColumnStore,
@@ -23,8 +22,6 @@ from .census import (
     check_core_vanishing,
     check_fiber_congruence,
     column_divisibility,
-    load_column,
-    save_column,
     table_census,
     threshold_experiment,
 )
@@ -34,7 +31,6 @@ from .characters import (
     compute_column,
     dimension,
     mn_character,
-    mn_character_mod,
 )
 from .cores import (
     CoreResult,
@@ -51,7 +47,6 @@ from .cores import (
     remove_rim_hook,
 )
 from .padic import (
-    PAdicDecomposition,
     PowerBlockWitness,
     ThresholdParams,
     digit_representative,

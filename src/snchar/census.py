@@ -1,5 +1,5 @@
 """Divisibility census engine: per-column statistics, whole-table counts,
-fiber-congruence and core-vanishing verification, and the column cache.
+fiber-congruence and core-vanishing verification, and the column store.
 
 The census computes one mod-p column per p-regular label and reuses it across
 the label's whole fiber; that shortcut is itself verified exhaustively at
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .characters import compute_column
+from .characters import CharColumn, compute_column
 from .cores import count_k_cores, is_k_core
 from .padic import (
     PowerBlockWitness,
@@ -140,39 +140,30 @@ class ColumnVersionError(ColumnCacheError):
     """Stored column uses an unsupported format version."""
 
 
-@dataclass(frozen=True)
-class ColumnCacheEntry:
-    """One persisted column: values in canonical order, modulus 0 means exact."""
-
-    version: int
-    n: int
-    mu: Partition
-    modulus: int
-    values: tuple[int, ...]
-
-
-def _entry_payload(entry: ColumnCacheEntry) -> str:
+def _column_payload(column: CharColumn) -> str:
     return "\n".join(
         [
-            f"{_CACHE_MAGIC} {entry.version}",
-            f"n={entry.n}",
-            f"mu={entry.mu.to_text()}",
-            f"modulus={entry.modulus}",
-            "values=" + ",".join(str(v) for v in entry.values),
+            f"{_CACHE_MAGIC} {CACHE_VERSION}",
+            f"n={column.n}",
+            f"mu={column.mu.to_text()}",
+            f"modulus={column.modulus}",
+            "values=" + ",".join(str(v) for v in column.values),
         ]
     )
 
 
-def entry_checksum(entry: ColumnCacheEntry) -> str:
+def column_checksum(column: CharColumn) -> str:
     # 64-bit content checksum, stored as 16 hex digits.
-    return hashlib.sha256(_entry_payload(entry).encode("ascii")).hexdigest()[:16]
+    return hashlib.sha256(_column_payload(column).encode("ascii")).hexdigest()[:16]
 
 
 class ColumnStore:
-    """Line-delimited text store, one file per (n, mu, modulus) column.
+    """Line-delimited text store, one file per (n, mu, modulus) mod-p column.
 
     Writes go through a temp file and an atomic replace, so concurrent readers
-    never observe partial content; distinct keys never contend.
+    never observe partial content; distinct keys never contend.  A load checks
+    the file's checksum, that it holds the requested key, and that it has one
+    residue in [0, modulus) per partition of n.
     """
 
     def __init__(self, root):
@@ -183,16 +174,15 @@ class ColumnStore:
         mu_tag = mu.to_text().replace(",", "-")
         return self.root / f"col_n{n}_mod{modulus}_mu{mu_tag}.txt"
 
-    def save(self, entry: ColumnCacheEntry) -> Path:
-        payload = _entry_payload(entry)
-        text = payload + f"\nchecksum={entry_checksum(entry)}\n"
-        path = self.path_for(entry.n, entry.mu, entry.modulus)
+    def save(self, column: CharColumn) -> Path:
+        text = _column_payload(column) + f"\nchecksum={column_checksum(column)}\n"
+        path = self.path_for(column.n, column.mu, column.modulus)
         tmp = path.with_name(path.name + f".tmp{os.getpid()}")
         tmp.write_text(text, encoding="ascii")
         os.replace(tmp, path)
         return path
 
-    def load(self, n: int, mu: Partition, modulus: int) -> ColumnCacheEntry:
+    def load(self, n: int, mu: Partition, modulus: int) -> CharColumn:
         path = self.path_for(n, mu, modulus)
         text = path.read_text(encoding="ascii")  # missing file -> FileNotFoundError
         lines = text.splitlines()
@@ -204,24 +194,30 @@ class ColumnStore:
         if magic != _CACHE_MAGIC or version_text != str(CACHE_VERSION):
             raise ColumnVersionError(f"{path} has unsupported header {lines[0]!r}")
         values_text = fields.get("values", "")
-        entry = ColumnCacheEntry(
-            version=CACHE_VERSION,
-            n=int(fields["n"]),
-            mu=Partition.from_text(fields["mu"]),
-            modulus=int(fields["modulus"]),
-            values=tuple(int(v) for v in values_text.split(",")) if values_text else (),
-        )
-        if fields.get("checksum") != entry_checksum(entry):
+        try:
+            column = CharColumn(
+                n=int(fields["n"]),
+                mu=Partition.from_text(fields["mu"]),
+                modulus=int(fields["modulus"]),
+                values=tuple(int(v) for v in values_text.split(",")) if values_text else (),
+            )
+        except (KeyError, ValueError) as exc:
+            raise ColumnChecksumError(f"{path} is not a column file") from exc
+        if fields.get("checksum") != column_checksum(column):
             raise ColumnChecksumError(f"{path} failed its checksum")
-        return entry
-
-
-def save_column(entry: ColumnCacheEntry, store_path) -> Path:
-    return ColumnStore(store_path).save(entry)
-
-
-def load_column(n: int, mu, modulus: int, store_path) -> ColumnCacheEntry:
-    return ColumnStore(store_path).load(n, Partition(mu), modulus)
+        if (column.n, column.mu, column.modulus) != (n, mu, modulus):
+            raise ColumnChecksumError(
+                f"{path} holds n={column.n} mu={column.mu} modulus={column.modulus}, "
+                f"not n={n} mu={mu} modulus={modulus}"
+            )
+        values = column.values
+        if len(values) != partition_count(n):
+            raise ColumnChecksumError(
+                f"{path} has {len(values)} values, not p({n}) = {partition_count(n)}"
+            )
+        if min(values) < 0 or max(values) >= modulus:
+            raise ColumnChecksumError(f"{path} has a value outside [0, {modulus})")
+        return column
 
 
 def column_divisibility(
@@ -239,7 +235,7 @@ def column_divisibility(
         raise ValueError(f"{mu} is not a partition of {n}")
     if exact:
         column = compute_column(n, mu, None)
-        zero_count = sum(1 for v in column.values.values() if v % p == 0)
+        zero_count = sum(1 for v in column.values if v % p == 0)
     else:
         column = compute_column(n, mu, p)
         zero_count = column.zero_count()
@@ -281,7 +277,11 @@ def check_fiber_congruence(n: int, p: int, lam) -> FiberCongruenceReport:
     for mu in members[1:]:
         values = compute_column(n, mu, p).values
         if values != reference:
-            alpha = next(a for a in reference if values[a] != reference[a])
+            alpha = next(
+                a
+                for a, x, y in zip(enumerate_partitions(n), reference, values)
+                if x != y
+            )
             mismatch = (reference_mu, mu, alpha)
             break
     return FiberCongruenceReport(
@@ -299,14 +299,14 @@ def check_core_vanishing(n: int, k: int) -> CoreVanishReport:
     largest part is k (the first recursion step already has no hook to strip)."""
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    cores = [alpha for alpha in enumerate_partitions(n) if is_k_core(alpha, k)]
-    classes = [mu for mu in enumerate_partitions(n) if mu[0] == k]
+    partitions = list(enumerate_partitions(n))
+    cores = {alpha for alpha in partitions if is_k_core(alpha, k)}
+    classes = [mu for mu in partitions if mu[0] == k]
     violations = []
     for mu in classes:
         column = compute_column(n, mu, None)
-        for alpha in cores:
-            value = column.values[alpha]
-            if value != 0:
+        for alpha, value in zip(partitions, column.values):
+            if value != 0 and alpha in cores:
                 violations.append((alpha, mu, value))
     return CoreVanishReport(
         n=n,
@@ -318,14 +318,8 @@ def check_core_vanishing(n: int, k: int) -> CoreVanishReport:
     )
 
 
-def _column_zero_values(n: int, p: int, label: Partition) -> tuple[int, ...]:
-    return tuple(compute_column(n, label, p).values.values())
-
-
-def _census_task(args: tuple[int, int, str]) -> tuple[str, tuple[int, ...]]:
-    n, p, label_text = args
-    label = Partition.from_text(label_text)
-    return label_text, _column_zero_values(n, p, label)
+def _census_task(args: tuple[int, Partition, int]) -> CharColumn:
+    return compute_column(*args)
 
 
 def table_census(n: int, p: int, jobs: int = 1, cache_dir=None) -> CensusResult:
@@ -334,7 +328,8 @@ def table_census(n: int, p: int, jobs: int = 1, cache_dir=None) -> CensusResult:
     Computes one mod-p column per p-regular label (optionally in parallel,
     optionally persisted under cache_dir) and weights its zero count by the
     label's fiber size.  Output is canonicalized after the parallel phase, so
-    repeated runs and different job counts give identical results.
+    repeated runs and different job counts give identical results.  The pool
+    gets at most one worker per pending column and per CPU.
     """
     _require_prime(p)
     if n < 0:
@@ -343,45 +338,38 @@ def table_census(n: int, p: int, jobs: int = 1, cache_dir=None) -> CensusResult:
         raise ValueError("jobs must be positive")
     labels = [lam for lam in enumerate_partitions(n) if is_p_regular(lam, p)]
     store = ColumnStore(cache_dir) if cache_dir is not None else None
-    values_by_label: dict[Partition, tuple[int, ...]] = {}
+    columns: dict[Partition, CharColumn] = {}
     pending: list[Partition] = []
-    hits = 0
     for lam in labels:
         if store is not None:
             try:
-                entry = store.load(n, lam, p)
+                columns[lam] = store.load(n, lam, p)
             except FileNotFoundError:
                 pending.append(lam)
-            else:
-                values_by_label[lam] = entry.values
-                hits += 1
         else:
             pending.append(lam)
-    if pending:
-        if jobs > 1 and len(pending) > 1:
-            args = [(n, p, lam.to_text()) for lam in pending]
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                for label_text, values in pool.map(_census_task, args):
-                    values_by_label[Partition.from_text(label_text)] = values
-        else:
-            for lam in pending:
-                values_by_label[lam] = _column_zero_values(n, p, lam)
-        if store is not None:
-            for lam in pending:
-                store.save(
-                    ColumnCacheEntry(CACHE_VERSION, n, lam, p, values_by_label[lam])
-                )
+    hits = len(columns)
+    workers = min(jobs, len(pending), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            computed = pool.map(_census_task, [(n, lam, p) for lam in pending])
+            columns.update(zip(pending, computed))
+    else:
+        for lam in pending:
+            columns[lam] = compute_column(n, lam, p)
+    if store is not None:
+        for lam in pending:
+            store.save(columns[lam])
     total = partition_count(n)
-    columns = []
+    summaries = []
     divisible = 0
     covered = 0
     for lam in labels:
-        values = values_by_label[lam]
-        zero_count = sum(1 for v in values if v == 0)
+        zero_count = columns[lam].zero_count()
         size = fiber_size(lam, p)
         covered += size
         divisible += size * zero_count
-        columns.append(FiberColumnSummary(lam, size, zero_count))
+        summaries.append(FiberColumnSummary(lam, size, zero_count))
     if covered != total:
         raise RuntimeError(
             f"fiber sizes cover {covered} of {total} classes; this is a bug"
@@ -393,7 +381,7 @@ def table_census(n: int, p: int, jobs: int = 1, cache_dir=None) -> CensusResult:
         table_size=total * total,
         ratio=Fraction(divisible, total * total),
     )
-    return CensusResult(record, tuple(columns), hits, len(pending))
+    return CensusResult(record, tuple(summaries), hits, len(pending))
 
 
 def threshold_experiment(n: int, p: int, c: float) -> list[ColumnDivisibilityRecord]:

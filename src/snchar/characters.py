@@ -69,49 +69,36 @@ def _mn_eval(alpha: tuple, beta: tuple, modulus: int | None, cache: MemoCache | 
             cache.table[key] = total
         return total
 
-    return rec(alpha, 0)
+    try:
+        return rec(alpha, 0)
+    finally:
+        # rec refers to itself; unbinding it frees the cache with its last
+        # user instead of leaving it to the next full cyclic collection.
+        del rec
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class CharColumn:
-    """All character values on one conjugacy class, keyed by irreducible label.
+    """All character values on one conjugacy class.
 
-    values holds one entry per partition of n, inserted in canonical
-    enumeration order; with a modulus set, every value lies in [0, p - 1].
+    values holds one entry per partition of n, in enumerate_partitions(n)
+    order; with a modulus set, every value lies in [0, modulus - 1].
     """
 
     n: int
     mu: Partition
-    values: dict[Partition, int]
     modulus: int | None
+    values: tuple[int, ...]
 
     def zero_count(self) -> int:
-        return sum(1 for v in self.values.values() if v == 0)
-
-    def value_list(self) -> list[int]:
-        return list(self.values.values())
-
-    def reduced(self, p: int) -> "CharColumn":
-        """Residues mod p of an exact column (identity on an already-reduced one)."""
-        if self.modulus is not None and self.modulus != p:
-            raise ValueError("column already reduced with a different modulus")
-        return CharColumn(
-            self.n, self.mu, {a: v % p for a, v in self.values.items()}, p
-        )
+        return self.values.count(0)
 
 
-def mn_character(alpha, beta) -> int:
-    """Exact character value chi^alpha on the class with cycle parts beta."""
-    alpha = Partition(alpha)
-    beta = Partition(beta)
-    if alpha.n != beta.n:
-        raise ValueError(f"|alpha| = {alpha.n} and |beta| = {beta.n} differ")
-    return _mn_eval(tuple(alpha), tuple(beta), None, MemoCache())
-
-def mn_character_mod(alpha, beta, p: int) -> int:
-    """chi^alpha_beta reduced mod p, computed natively in modular arithmetic
-    so large columns never build big integers."""
-    if not is_prime(p):
+def mn_character(alpha, beta, p: int | None = None) -> int:
+    """Character value chi^alpha on the class with cycle parts beta: exact, or
+    reduced mod a prime p by running the recursion in modular arithmetic, so
+    large values never build big integers."""
+    if p is not None and not is_prime(p):
         raise ValueError(f"p must be prime, got {p!r}")
     alpha = Partition(alpha)
     beta = Partition(beta)
@@ -132,10 +119,10 @@ def compute_column(n: int, mu, modulus: int | None = None) -> CharColumn:
         raise ValueError(f"modulus must be prime, got {modulus!r}")
     cache = MemoCache()
     beta = tuple(mu)
-    values: dict[Partition, int] = {}
-    for alpha in enumerate_partitions(n):
-        values[alpha] = _mn_eval(tuple(alpha), beta, modulus, cache)
-    return CharColumn(n=n, mu=mu, values=values, modulus=modulus)
+    values = tuple(
+        _mn_eval(tuple(alpha), beta, modulus, cache) for alpha in enumerate_partitions(n)
+    )
+    return CharColumn(n=n, mu=mu, modulus=modulus, values=values)
 
 
 def dimension(alpha) -> int:

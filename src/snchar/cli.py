@@ -284,12 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("csv", "json"), default="csv",
                         help="output format (default csv)")
-    common.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for parallel phases")
-    common.add_argument("--cache-dir", default=None,
-                        help="directory for persisted column files")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized order-independence checks")
 
     parser = argparse.ArgumentParser(
         prog="snchar",
@@ -311,6 +305,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="whole-table divisibility census for (n, p)")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--p", type=int, required=True)
+    sp.add_argument("--jobs", type=int, default=1,
+                    help="worker processes (at most one per pending column and per CPU)")
+    sp.add_argument("--cache-dir", default=None,
+                    help="directory for persisted column files")
     sp.set_defaults(func=cmd_census)
 
     sp = sub.add_parser("fibers", parents=[common],
@@ -349,6 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="randomized greedy hook stripping agrees with the abacus")
     sp.add_argument("--max-n", type=int, default=10)
     sp.add_argument("--trials", type=int, default=20)
+    sp.add_argument("--seed", type=int, default=0,
+                    help="seed for the random hook orders and hook lengths")
     sp.set_defaults(func=cmd_verify_cores)
 
     return parser

@@ -158,29 +158,6 @@ def p_adic_digits(value: int, p: int) -> tuple[int, ...]:
     return tuple(digits)
 
 
-@dataclass(frozen=True)
-class PAdicDecomposition:
-    """Base-p digit expansion of a non-negative integer (least significant first)."""
-
-    p: int
-    digits: tuple[int, ...]
-
-    def __post_init__(self):
-        _require_prime(self.p)
-        if any(not 0 <= d < self.p for d in self.digits):
-            raise ValueError(f"digits must lie in [0, {self.p - 1}]")
-        if self.digits and self.digits[-1] == 0:
-            raise ValueError("top digit must be nonzero")
-
-    @classmethod
-    def of(cls, value: int, p: int) -> "PAdicDecomposition":
-        return cls(p, p_adic_digits(value, p))
-
-    @property
-    def value(self) -> int:
-        return sum(d * self.p ** t for t, d in enumerate(self.digits))
-
-
 def digit_representative(lam, p: int) -> Partition:
     """The fiber member that splits each multiplicity into its base-p digits.
 

@@ -26,7 +26,7 @@ class Partition(tuple):
     def __new__(cls, parts=()):
         parts = tuple(parts)
         for i, a in enumerate(parts):
-            if not isinstance(a, int) or a < 1:
+            if not isinstance(a, int) or isinstance(a, bool) or a < 1:
                 raise ValueError(f"parts must be positive integers, got {a!r}")
             if i and parts[i - 1] < a:
                 raise ValueError(f"parts must be weakly decreasing, got {parts}")
@@ -82,7 +82,7 @@ class BetaSet(tuple):
     def __new__(cls, entries=()):
         entries = tuple(entries)
         for i, x in enumerate(entries):
-            if not isinstance(x, int) or x < 0:
+            if not isinstance(x, int) or isinstance(x, bool) or x < 0:
                 raise ValueError(f"entries must be non-negative integers, got {x!r}")
             if i and entries[i - 1] <= x:
                 raise ValueError(f"entries must be strictly decreasing, got {entries}")

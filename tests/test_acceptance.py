@@ -41,7 +41,7 @@ def test_criterion_01_column_orthogonality():
         for i, mu in enumerate(labels):
             for nu in labels[i:]:
                 pairs += 1
-                dot = sum(columns[mu][a] * columns[nu][a] for a in labels)
+                dot = sum(x * y for x, y in zip(columns[mu], columns[nu]))
                 expected = centralizer_order(mu) if mu == nu else 0
                 if dot != expected:
                     failures += 1
@@ -54,7 +54,7 @@ def test_criterion_02_dimension_suite():
     ok = True
     for n in range(1, 15):
         ones = Partition((1,) * n)
-        column = compute_column(n, ones).value_list()
+        column = list(compute_column(n, ones).values)
         dims = [dimension(alpha) for alpha in partitions_of(n)]
         ok = ok and column == dims and sum(d * d for d in dims) == math.factorial(n)
     _report("02", ok, "first column = hook-length dimensions and sum dim^2 = n!, n <= 14")

@@ -3,20 +3,19 @@ from fractions import Fraction
 import pytest
 
 from conftest import partitions_of
+from snchar import census
 from snchar.census import (
     CACHE_VERSION,
-    ColumnCacheEntry,
     ColumnChecksumError,
+    ColumnStore,
     ColumnVersionError,
     check_core_vanishing,
     check_fiber_congruence,
     column_divisibility,
-    load_column,
-    save_column,
     table_census,
     threshold_experiment,
 )
-from snchar.characters import compute_column
+from snchar.characters import CharColumn, compute_column
 from snchar.cores import count_k_cores
 from snchar.padic import digit_representative, p_regular_partitions
 from snchar.partitions import Partition
@@ -85,9 +84,9 @@ def test_fiber_congruence_s3():
     report = check_fiber_congruence(3, 2, P(1, 1, 1))
     assert report.fiber_size == 2
     assert report.congruent
-    col_a = compute_column(3, P(1, 1, 1), 2).value_list()
-    col_b = compute_column(3, P(2, 1), 2).value_list()
-    assert col_a == col_b == [1, 0, 1]
+    col_a = compute_column(3, P(1, 1, 1), 2).values
+    col_b = compute_column(3, P(2, 1), 2).values
+    assert col_a == col_b == (1, 0, 1)
 
 
 def test_fiber_congruence_exhaustive_small():
@@ -175,40 +174,86 @@ def test_census_validation():
 
 
 def test_cache_round_trip(tmp_path):
-    entry = ColumnCacheEntry(CACHE_VERSION, 4, P(3, 1), 2, (1, 0, 1, 1, 0))
-    save_column(entry, tmp_path)
-    loaded = load_column(4, P(3, 1), 2, tmp_path)
-    assert loaded == entry
-
-
-def test_cache_exact_round_trip(tmp_path):
-    values = tuple(compute_column(5, P(3, 2)).values.values())
-    entry = ColumnCacheEntry(CACHE_VERSION, 5, P(3, 2), 0, values)
-    save_column(entry, tmp_path)
-    assert load_column(5, P(3, 2), 0, tmp_path).values == values
+    column = compute_column(4, P(3, 1), 2)
+    ColumnStore(tmp_path).save(column)
+    assert ColumnStore(tmp_path).load(4, P(3, 1), 2) == column
 
 
 def test_cache_missing_file(tmp_path):
     with pytest.raises(FileNotFoundError):
-        load_column(4, P(4), 2, tmp_path)
+        ColumnStore(tmp_path).load(4, P(4), 2)
 
 
 def test_cache_detects_tampering(tmp_path):
-    entry = ColumnCacheEntry(CACHE_VERSION, 4, P(3, 1), 2, (1, 0, 1, 1, 0))
-    path = save_column(entry, tmp_path)
+    store = ColumnStore(tmp_path)
+    path = store.save(CharColumn(4, P(3, 1), 2, (1, 0, 1, 1, 0)))
     text = path.read_text()
     path.write_text(text.replace("values=1,0", "values=0,0", 1))
     with pytest.raises(ColumnChecksumError):
-        load_column(4, P(3, 1), 2, tmp_path)
+        store.load(4, P(3, 1), 2)
+    path.write_text(text.replace("n=4\n", "", 1))
+    with pytest.raises(ColumnChecksumError):
+        store.load(4, P(3, 1), 2)
 
 
 def test_cache_rejects_unknown_version(tmp_path):
-    entry = ColumnCacheEntry(CACHE_VERSION, 4, P(3, 1), 2, (1, 0, 1, 1, 0))
-    path = save_column(entry, tmp_path)
+    store = ColumnStore(tmp_path)
+    path = store.save(CharColumn(4, P(3, 1), 2, (1, 0, 1, 1, 0)))
     text = path.read_text()
     path.write_text(text.replace(f"column {CACHE_VERSION}", f"column {CACHE_VERSION + 1}", 1))
     with pytest.raises(ColumnVersionError):
-        load_column(4, P(3, 1), 2, tmp_path)
+        store.load(4, P(3, 1), 2)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [(1, 0, 1, 1), (1, 0, 1, 1, 0, 1), (1, 0, 2, 1, 0), (1, 0, -1, 1, 0)],
+    ids=["short", "long", "above-modulus", "negative"],
+)
+def test_cache_rejects_checksummed_bad_values(tmp_path, values):
+    # the file passes its own checksum; its length or range gives it away
+    store = ColumnStore(tmp_path)
+    store.save(CharColumn(4, P(3, 1), 2, values))
+    with pytest.raises(ColumnChecksumError):
+        store.load(4, P(3, 1), 2)
+
+
+def test_census_cache_rejects_swapped_file(tmp_path):
+    # a valid, checksummed column filed under another label's key
+    first = table_census(6, 2, cache_dir=tmp_path)
+    assert first.record.divisible_count == 44
+    store = ColumnStore(tmp_path)
+    swapped = store.path_for(6, P(3, 3), 2)
+    swapped.write_bytes(store.path_for(6, P(5, 1), 2).read_bytes())
+    with pytest.raises(ColumnChecksumError):
+        table_census(6, 2, cache_dir=tmp_path)
+
+
+def test_census_jobs_clamped_to_pending_and_cpus(monkeypatch):
+    # never fork: a stand-in pool records its size and maps serially
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(census, "ProcessPoolExecutor", SerialPool)
+    serial = table_census(6, 2)
+    pending = len(serial.columns)  # 4 odd-part labels of 6
+    for cpus, jobs, expected in ((64, 64, [pending]), (3, 64, [3]), (64, 2, [2]), (1, 64, [])):
+        sizes.clear()
+        monkeypatch.setattr(census.os, "cpu_count", lambda: cpus)
+        assert table_census(6, 2, jobs=jobs) == serial
+        assert sizes == expected
 
 
 def test_census_cache_hits_on_second_run(tmp_path):

@@ -10,7 +10,6 @@ from snchar.characters import (
     compute_column,
     dimension,
     mn_character,
-    mn_character_mod,
 )
 from snchar.cores import _rim_hook_options, is_k_core
 from snchar.partitions import Partition, centralizer_order, enumerate_partitions
@@ -42,23 +41,23 @@ def test_size_mismatch_rejected():
     with pytest.raises(ValueError):
         mn_character(P(3, 1), P(3))
     with pytest.raises(ValueError):
-        mn_character_mod(P(3, 1), P(3), 2)
+        mn_character(P(3, 1), P(3), p=2)
 
 
 def test_mod_requires_prime():
     with pytest.raises(ValueError):
-        mn_character_mod(P(2, 1), P(1, 1, 1), 4)
+        mn_character(P(2, 1), P(1, 1, 1), p=4)
     with pytest.raises(ValueError):
         compute_column(3, P(2, 1), modulus=6)
 
 
 def test_mod_examples():
-    assert mn_character_mod(P(2, 2), P(4), 2) == 0
+    assert mn_character(P(2, 2), P(4), p=2) == 0
     for n in (2, 5, 8):
         ones = P(*([1] * n))
-        assert mn_character_mod(ones, ones, 2) == 1
+        assert mn_character(ones, ones, p=2) == 1
     assert mn_character(P(3, 1), P(2, 1, 1)) in (-1, 1)
-    assert mn_character_mod(P(3, 1), P(2, 1, 1), 2) == 1
+    assert mn_character(P(3, 1), P(2, 1, 1), p=2) == 1
 
 
 def test_mod_matches_exact_reduction():
@@ -67,8 +66,8 @@ def test_mod_matches_exact_reduction():
             exact = compute_column(n, beta, None)
             for p in (2, 3, 5, 7):
                 reduced = compute_column(n, beta, p)
-                assert reduced.values == {a: v % p for a, v in exact.values.items()}
-                assert all(0 <= v < p for v in reduced.values.values())
+                assert reduced.values == tuple(v % p for v in exact.values)
+                assert all(0 <= v < p for v in reduced.values)
 
 
 def test_mod_matches_exact_on_samples():
@@ -78,15 +77,15 @@ def test_mod_matches_exact_on_samples():
         alpha = rng.choice(partitions_of(n))
         beta = rng.choice(partitions_of(n))
         p = rng.choice((2, 3, 5, 7))
-        assert mn_character_mod(alpha, beta, p) == mn_character(alpha, beta) % p
+        assert mn_character(alpha, beta, p=p) == mn_character(alpha, beta) % p
 
 
 def test_compute_column_examples():
     col = compute_column(4, P(4))
-    assert col.value_list() == [1, -1, 0, 1, -1]
-    assert sum(v * v for v in col.value_list()) == centralizer_order(P(4))
-    assert compute_column(1, P(1)).value_list() == [1]
-    assert compute_column(4, P(1, 1, 1, 1)).value_list() == [1, 3, 2, 3, 1]
+    assert col.values == (1, -1, 0, 1, -1)
+    assert sum(v * v for v in col.values) == centralizer_order(P(4))
+    assert compute_column(1, P(1)).values == (1,)
+    assert compute_column(4, P(1, 1, 1, 1)).values == (1, 3, 2, 3, 1)
 
 
 def test_compute_column_validation():
@@ -95,13 +94,17 @@ def test_compute_column_validation():
 
 
 def test_column_keys_canonical_order():
+    # values[i] is the row of the i-th partition in enumeration order
     col = compute_column(6, P(3, 2, 1), modulus=3)
-    assert list(col.values.keys()) == list(enumerate_partitions(6))
+    assert col.values == tuple(
+        mn_character(alpha, P(3, 2, 1), p=3) for alpha in enumerate_partitions(6)
+    )
 
 
 def test_column_reduced_matches_mod_column():
-    exact = compute_column(5, P(3, 2))
-    assert exact.reduced(3).values == compute_column(5, P(3, 2), 3).values
+    # an exact column reduced afterwards equals the column computed mod p
+    exact = compute_column(12, P(5, 4, 3))
+    assert tuple(v % 3 for v in exact.values) == compute_column(12, P(5, 4, 3), 3).values
 
 
 def test_dimension_examples():
@@ -116,7 +119,7 @@ def test_first_column_is_dimensions():
         ones = P(*([1] * n))
         col = compute_column(n, ones)
         dims = [dimension(alpha) for alpha in partitions_of(n)]
-        assert col.value_list() == dims
+        assert list(col.values) == dims
         assert sum(d * d for d in dims) == math.factorial(n)
 
 
@@ -126,7 +129,7 @@ def test_column_orthogonality():
         labels = partitions_of(n)
         for i, mu in enumerate(labels):
             for nu in labels[i:]:
-                dot = sum(columns[mu][a] * columns[nu][a] for a in labels)
+                dot = sum(x * y for x, y in zip(columns[mu], columns[nu]))
                 assert dot == (centralizer_order(mu) if mu == nu else 0)
 
 
@@ -138,8 +141,9 @@ def test_core_rows_vanish():
                 if mu[0] != k:
                     continue
                 col = compute_column(n, mu)
-                for alpha in cores:
-                    assert col.values[alpha] == 0
+                for alpha, value in zip(partitions_of(n), col.values):
+                    if alpha in cores:
+                        assert value == 0
 
 
 def _count_paths(alpha, beta):

@@ -227,3 +227,18 @@ def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["frobnicate"])
     assert excinfo.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("column", "--n", "4", "--p", "2", "--mu", "4", "--jobs", "4"),
+        ("theorem-check", "--n", "12", "--p", "2", "--c", "0.4", "--cache-dir", "x"),
+        ("census", "--n", "6", "--p", "2", "--seed", "1"),
+    ],
+    ids=["column-jobs", "theorem-check-cache-dir", "census-seed"],
+)
+def test_flag_of_another_subcommand_exits_2(argv):
+    with pytest.raises(SystemExit) as excinfo:
+        main(list(argv))
+    assert excinfo.value.code == 2

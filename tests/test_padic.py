@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from conftest import partitions_of, partitions_st
 from snchar.padic import (
     C_MIN,
-    PAdicDecomposition,
     ThresholdParams,
     digit_representative,
     few_distinct_parts,
@@ -113,13 +112,16 @@ def test_p_adic_digits():
     assert p_adic_digits(0, 2) == ()
     assert p_adic_digits(6, 2) == (0, 1, 1)
     assert p_adic_digits(5, 2) == (1, 0, 1)
-    d = PAdicDecomposition.of(2024, 7)
-    assert d.value == 2024
-    assert d.digits[-1] != 0
+    for value in (1, 2, 6, 2024, 3 ** 10 + 1):
+        for p in (2, 3, 7):
+            digits = p_adic_digits(value, p)
+            assert sum(d * p ** t for t, d in enumerate(digits)) == value
+            assert all(0 <= d < p for d in digits)
+            assert digits[-1] != 0
     with pytest.raises(ValueError):
-        PAdicDecomposition(3, (3, 1))
+        p_adic_digits(-1, 3)
     with pytest.raises(ValueError):
-        PAdicDecomposition(3, (1, 0))
+        p_adic_digits(5, 4)
 
 
 def test_digit_representative_examples():

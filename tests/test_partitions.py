@@ -29,6 +29,8 @@ def test_partition_validation():
         Partition((3, 0))
     with pytest.raises(ValueError):
         Partition((3, -1))
+    with pytest.raises(ValueError):
+        Partition((True, True))
 
 
 def test_text_round_trip():
@@ -191,6 +193,8 @@ def test_beta_set_validation():
         BetaSet((1, 2))
     with pytest.raises(ValueError):
         BetaSet((2, -1))
+    with pytest.raises(ValueError):
+        BetaSet((True, False))
 
 
 def test_beta_round_trip_exhaustive():
