@@ -15,10 +15,9 @@ import argparse
 import csv
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 
-from snchar.bounds import growth_envelope_report
-from snchar.partitions import partition_count
+from snchar.bounds import core_density_report, growth_envelope_report
+from snchar.census import DEFAULT_C
 
 
 @dataclass(frozen=True)
@@ -35,6 +34,8 @@ def parse_config(argv=None) -> DiagnosticsConfig:
     parser.add_argument("--out-prefix", default=None,
                         help="write <prefix>_envelope.csv and <prefix>_decay.csv")
     args = parser.parse_args(argv)
+    if any(n < 2 for n in args.decay_n):
+        parser.error(f"--decay-n values must be at least 2, got {args.decay_n}")
     return DiagnosticsConfig(args.max_m, tuple(args.decay_n), args.out_prefix)
 
 
@@ -56,9 +57,8 @@ def write_decay(config: DiagnosticsConfig, stream) -> None:
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(["n", "k", "ratio_float"])
     for n in config.decay_n:
-        pn = partition_count(n)
         for k in range(1, n + 1):
-            ratio = Fraction((k + 1) * partition_count(n - k), pn)
+            ratio = core_density_report(n, k, DEFAULT_C).rhs
             writer.writerow([n, k, f"{float(ratio):.12g}"])
 
 

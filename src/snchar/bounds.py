@@ -1,10 +1,9 @@
 """Exact checkers for the counting inequalities, plus diagnostic growth reports.
 
 Every comparison here is exact big-integer or rational arithmetic; floats
-appear only in diagnostic output fields.  The core-count side is enumeration
-backed, so these sweeps double as the strongest cross-validation between the
-counting paths (pentagonal recurrence, abacus core filter, series
-convolution).
+appear only in diagnostic output fields.  Core counts come from their
+generating function, so every check is exact at any n; the fiber identity
+ties them to the pentagonal recurrence and the multipartition convolution.
 """
 
 from __future__ import annotations
@@ -17,30 +16,23 @@ from .cores import count_k_cores, multipartition_count
 from .padic import C_MIN
 from .partitions import partition_count
 
-# Enumeration-backed core counts stay tractable up to here; reports beyond
-# this omit the exact core ratio instead of grinding through ~1e6 partitions.
-CORE_ENUM_LIMIT = 60
-
 
 @dataclass(frozen=True)
 class BoundReport:
-    """One checked comparison: lhs (relation) rhs, with exact slack lhs/rhs.
-
-    lhs and holds are None when the report intentionally skips the exact
-    core-count side (n beyond CORE_ENUM_LIMIT with core ratio not requested).
-    """
+    """One checked comparison: lhs (relation) rhs, with exact slack lhs/rhs
+    (None when rhs is 0)."""
 
     check: str
     params: dict[str, object]
-    lhs: Fraction | int | None
+    lhs: Fraction | int
     rhs: Fraction | int
     relation: str  # "<=" or "=="
-    holds: bool | None
+    holds: bool
     slack: Fraction | None
 
 
 def _slack(lhs, rhs) -> Fraction | None:
-    if lhs is None or rhs == 0:
+    if rhs == 0:
         return None
     return Fraction(lhs, rhs)
 
@@ -108,9 +100,7 @@ def check_core_fiber_identity(n: int, k: int) -> BoundReport:
     )
 
 
-def core_density_report(
-    n: int, k: int, c: float, include_core_ratio: bool | None = None
-) -> BoundReport:
+def core_density_report(n: int, k: int, c: float) -> BoundReport:
     """Diagnostic report on the k-core share of partitions of n.
 
     lhs is the exact non-core share 1 - c_k(n)/p(n); rhs is the decay bound
@@ -118,9 +108,6 @@ def core_density_report(
     the scale threshold c * sqrt(n) * ln(n).  The limiting decay rate behind
     this diagnostic involves a constant with no effective value, so nothing
     asymptotic is asserted here; only the exact ratios are.
-
-    include_core_ratio defaults to n <= CORE_ENUM_LIMIT; when the core count
-    is skipped, lhs and holds are None and only the decay side is reported.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
@@ -128,24 +115,17 @@ def core_density_report(
         raise ValueError("k must be positive")
     if not c > C_MIN:
         raise ValueError(f"c must exceed sqrt(3/2)/pi = {C_MIN:.9f}, got {c}")
-    if include_core_ratio is None:
-        include_core_ratio = n <= CORE_ENUM_LIMIT
     pn = partition_count(n)
     rhs = Fraction((k + 1) * partition_count(n - k), pn) if k <= n else Fraction(0)
     k_meets = k >= c * math.sqrt(n) * math.log(n)
-    if include_core_ratio:
-        lhs = 1 - Fraction(count_k_cores(n, k), pn)
-        holds = lhs <= rhs
-    else:
-        lhs = None
-        holds = None
+    lhs = 1 - Fraction(count_k_cores(n, k), pn)
     return BoundReport(
         check="core-density",
         params={"n": n, "k": k, "c": c, "k_meets_threshold": k_meets},
         lhs=lhs,
         rhs=rhs,
         relation="<=",
-        holds=holds,
+        holds=lhs <= rhs,
         slack=_slack(lhs, rhs),
     )
 

@@ -280,7 +280,22 @@ def cmd_verify_cores(args) -> int:
     return 1 if failed else 0
 
 
+def _int_at_least(low: int):
+    """argparse type: an int no smaller than low, so a sweep bound that would
+    check nothing is an argparse error (exit 2)."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in its error messages
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
+    positive = _int_at_least(1)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("csv", "json"), default="csv",
                         help="output format (default csv)")
@@ -331,22 +346,22 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify-bounds", parents=[common],
                         help="exact sweeps of the counting bounds")
     sp.add_argument("--lemma", required=True, choices=("1", "2", "3", "fiber", "hr"))
-    sp.add_argument("--max-n", type=int, default=60)
-    sp.add_argument("--max-k", type=int, default=0,
-                    help="cap on k (default: up to n, or 10 for --lemma 1)")
-    sp.add_argument("--max-m", type=int, default=40)
+    sp.add_argument("--max-n", type=positive, default=60)
+    sp.add_argument("--max-k", type=_int_at_least(0), default=0,
+                    help="cap on k (default or 0: up to n, or 10 for --lemma 1)")
+    sp.add_argument("--max-m", type=positive, default=40)
     sp.add_argument("--c", type=float, default=census.DEFAULT_C)
     sp.set_defaults(func=cmd_verify_bounds)
 
     sp = sub.add_parser("verify-core-vanish", parents=[common],
                         help="k-core rows vanish on classes with largest part k")
-    sp.add_argument("--max-n", type=int, required=True)
+    sp.add_argument("--max-n", type=positive, required=True)
     sp.set_defaults(func=cmd_verify_core_vanish)
 
     sp = sub.add_parser("verify-cores", parents=[common],
                         help="randomized greedy hook stripping agrees with the abacus")
-    sp.add_argument("--max-n", type=int, default=10)
-    sp.add_argument("--trials", type=int, default=20)
+    sp.add_argument("--max-n", type=positive, default=10)
+    sp.add_argument("--trials", type=positive, default=20)
     sp.add_argument("--seed", type=int, default=0,
                     help="seed for the random hook orders and hook lengths")
     sp.set_defaults(func=cmd_verify_cores)

@@ -17,7 +17,6 @@ from typing import Iterator
 from .partitions import (
     Partition,
     _beta_mask,
-    _iter_partition_tuples,
     _parts_from_beads,
     enumerate_partitions,
     partition_count,
@@ -200,47 +199,34 @@ def is_k_core(lam, k: int) -> bool:
 
 @lru_cache(maxsize=None)
 def _core_count_row(n: int) -> tuple[int, ...]:
-    # row[k] = number of k-core partitions of n, for 1 <= k <= n (row[0] unused).
-    # One enumeration pass; per partition, bitmask probes decide every k at once.
-    counts = [0] * (n + 1)
-    tail = [0] * (n + 2)  # tail[j]: +1 to every k >= j (partitions with max hook < j)
-    for parts in _iter_partition_tuples(n):
-        r = len(parts)
-        mask = 0
-        shift = r - 1
-        for a in parts:
-            mask |= 1 << (a + shift)
-            shift -= 1
-        maxh = parts[0] + r - 1
-        gaps = ((1 << (maxh + 1)) - 1) ^ mask
-        for k in range(2, maxh + 1):
-            if not ((mask >> k) & gaps):
-                counts[k] += 1
-        if maxh < n:
-            tail[maxh + 1] += 1
-    run = 0
-    for k in range(2, n + 1):
-        run += tail[k]
-        counts[k] += run
-    return tuple(counts)
+    # row[k] = number of k-core partitions of n, for 1 <= k <= n (row[0] unused),
+    # read off C_k(q) = P(q) * prod_{j>=1} (1 - q^(kj))^k.  With x = q^k,
+    # row[k] = sum_m p(n - k m) * e_k(m), where e_k(m) = [x^m] prod_j (1 - x^j)^k.
+    row = [0] * (n + 1)
+    for k in range(1, n + 1):
+        top = n // k
+        e = [1] + [0] * top
+        for j in range(1, top + 1):
+            for _ in range(k):
+                for i in range(top, j - 1, -1):
+                    e[i] -= e[i - j]
+        row[k] = sum(partition_count(n - k * m) * e[m] for m in range(top + 1))
+    return tuple(row)
 
 
 def count_k_cores(n: int, k: int) -> int:
-    """Number of k-core partitions of n, by enumeration + hook criterion.
+    """Number of k-core partitions of n, by the generating function
+    P(q) * prod_{j>=1} (1 - q^(kj))^k (Garvan-Kim-Stanton).
 
-    Exact; rows are cached per n, so sweeping k is one enumeration pass.
-    Enumeration is the point (it keeps this count independent of the
-    convolution-based multipartition counts it gets cross-checked against),
-    which bounds the practical range to n around 60.
+    Exact at any n; rows are cached per n, so sweeping k costs one row.  The
+    tests check it against an enumeration of partitions by the hook criterion,
+    which keeps the convolution-based multipartition counts it is compared
+    with in the fiber identity honest.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
     if k < 1:
         raise ValueError("k must be positive")
-    if n == 0:
-        return 1
-    if k == 1:
-        return 0  # every cell of a nonempty diagram is a 1-hook
     if k > n:
         return partition_count(n)  # no hook can reach length k
     return _core_count_row(n)[k]

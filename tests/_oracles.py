@@ -4,7 +4,8 @@ Each oracle recomputes a quantity by a different route than the package:
 recursive enumeration instead of the pentagonal recurrence, direct arm/leg
 cell counts instead of beta-sets, permutation counting instead of the
 centralizer formula, border-strip construction on the diagram instead of the
-abacus.  They stay independent of the code paths they validate.
+abacus, partition enumeration instead of the k-core generating function.
+They stay independent of the code paths they validate.
 """
 
 import itertools
@@ -32,6 +33,71 @@ def bounded_count(n, max_part):
     if max_part == 0:
         return 0
     return sum(bounded_count(n - head, head) for head in range(min(n, max_part), 0, -1))
+
+
+def ascending_partitions(n):
+    """Every partition of n once, parts ascending, one list at a time.
+
+    Kelleher's ascending-composition generator: nothing is stored beyond the
+    current partition, so n = 60 (about a million partitions) is streamed.
+    """
+    if n == 0:
+        yield []
+        return
+    a = [0] * (n + 1)
+    k = 1
+    y = n - 1
+    while k:
+        x = a[k - 1] + 1
+        k -= 1
+        while 2 * x <= y:
+            a[k] = x
+            y -= x
+            k += 1
+        last = k + 1
+        while x <= y:
+            a[k] = x
+            a[last] = y
+            yield a[:k + 2]
+            x += 1
+            y -= 1
+        a[k] = x + y
+        y = x + y - 1
+        yield a[:k + 1]
+
+
+@lru_cache(maxsize=None)
+def enumerated_core_row(n):
+    """row[k] = number of k-cores of n for 1 <= k <= n + 1, by enumeration.
+
+    Each partition is a bead mask (ascending part a_j sits at a_j + j); it is
+    a k-core iff no bead has a gap exactly k below it, since a hook length
+    divisible by k forces one equal to k.  No hook exceeds the top bead, so a
+    partition is a k-core for every k above it; row[n + 1] is therefore p(n),
+    the count for every k > n.  About 40 s for all n <= 60, once per process.
+    """
+    counts = [0] * (n + 2)
+    tail = [0] * (n + 3)  # tail[j]: partitions whose largest hook is j - 1
+    for parts in ascending_partitions(n):
+        mask = 0
+        for j, a in enumerate(parts):
+            mask |= 1 << (a + j)
+        top = max(mask.bit_length() - 1, 0)
+        gaps = ((1 << (top + 1)) - 1) ^ mask
+        for k in range(1, top + 1):
+            if not ((mask >> k) & gaps):
+                counts[k] += 1
+        tail[top + 1] += 1
+    run = 0
+    for k in range(1, n + 2):
+        run += tail[k]
+        counts[k] += run
+    return tuple(counts)
+
+
+def enumerated_core_count(n, k):
+    """c_k(n) from enumerated_core_row, for any k >= 1."""
+    return enumerated_core_row(n)[min(k, n + 1)]
 
 
 def naive_hooks(parts):

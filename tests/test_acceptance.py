@@ -10,12 +10,12 @@ import random
 import time
 from fractions import Fraction
 
+from _oracles import enumerated_core_count
 from conftest import partitions_of
 from snchar.census import check_core_vanishing, check_fiber_congruence, column_divisibility, table_census
 from snchar.characters import compute_column, dimension
 from snchar.cli import main
 from snchar.cores import (
-    count_k_cores,
     enumerate_multipartitions,
     k_core,
     multipartition_count,
@@ -66,9 +66,9 @@ def test_criterion_03_fiber_identity():
     for n in range(1, 61):
         pn = partition_count(n)
         for k in range(1, n + 1):
-            lhs = pn - count_k_cores(n, k)
+            lhs = pn - enumerated_core_count(n, k)
             rhs = sum(
-                count_k_cores(n - m * k, k) * multipartition_count(k, m)
+                enumerated_core_count(n - m * k, k) * multipartition_count(k, m)
                 for m in range(1, n // k + 1)
             )
             if lhs != rhs:
@@ -85,7 +85,7 @@ def test_criterion_04_growth_and_deficit_bounds():
         for m in range(1, 41)
     )
     deficit_ok = all(
-        partition_count(n) - count_k_cores(n, k) <= (k + 1) * partition_count(n - k)
+        partition_count(n) - enumerated_core_count(n, k) <= (k + 1) * partition_count(n - k)
         for n in range(1, 61)
         for k in range(1, n + 1)
     )
@@ -205,7 +205,7 @@ def test_criterion_10a_deficit_bound_rearranged():
     for n in range(2, 61):
         pn = partition_count(n)
         for k in range(1, n + 1):
-            lhs = 1 - Fraction(count_k_cores(n, k), pn)
+            lhs = 1 - Fraction(enumerated_core_count(n, k), pn)
             rhs = Fraction((k + 1) * partition_count(n - k), pn)
             if lhs > rhs:
                 bad.append((n, k))

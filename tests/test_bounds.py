@@ -6,7 +6,6 @@ import pytest
 from _oracles import brute_multipartitions, naive_is_core
 from conftest import partitions_of
 from snchar.bounds import (
-    CORE_ENUM_LIMIT,
     check_core_deficit,
     check_core_fiber_identity,
     check_multipartition_growth,
@@ -133,12 +132,11 @@ def test_core_density_threshold_flag():
     assert not core_density_report(n, 5, 0.4).params["k_meets_threshold"]
 
 
-def test_core_density_skips_core_ratio_beyond_enum_limit():
+def test_core_density_exact_beyond_sixty():
     report = core_density_report(100, 48, 0.4)
-    assert report.lhs is None and report.holds is None
+    assert report.holds is True
+    assert report.lhs == 1 - Fraction(count_k_cores(100, 48), partition_count(100))
     assert report.rhs == Fraction(49 * partition_count(52), partition_count(100))
-    forced = core_density_report(CORE_ENUM_LIMIT, 10, 0.4)
-    assert forced.lhs is not None
 
 
 def test_core_density_validation():

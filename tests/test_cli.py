@@ -178,6 +178,17 @@ def test_verify_bounds_core_density(capsys):
     assert "k_meets_threshold" in out.splitlines()[0]
 
 
+def test_verify_bounds_core_density_exact_beyond_sixty(capsys):
+    import csv as _csv
+
+    code, out, _ = run(capsys, "verify-bounds", "--lemma", "3", "--max-n", "70")
+    assert code == 0
+    rows = list(_csv.DictReader(out.splitlines()))
+    assert len(rows) == sum(range(2, 71))
+    assert {row["holds"] for row in rows} == {"true"}
+    assert all(row["lhs"] for row in rows)
+
+
 def test_verify_bounds_hr(capsys):
     code, out, _ = run(capsys, "verify-bounds", "--lemma", "hr", "--max-m", "5")
     assert code == 0
@@ -239,6 +250,23 @@ def test_unknown_subcommand_exits_2(capsys):
     ids=["column-jobs", "theorem-check-cache-dir", "census-seed"],
 )
 def test_flag_of_another_subcommand_exits_2(argv):
+    with pytest.raises(SystemExit) as excinfo:
+        main(list(argv))
+    assert excinfo.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify-bounds", "--lemma", "fiber", "--max-n", "-4"),
+        ("verify-bounds", "--lemma", "2", "--max-n", "5", "--max-k", "-3"),
+        ("verify-bounds", "--lemma", "1", "--max-k", "3", "--max-m", "-1"),
+        ("verify-core-vanish", "--max-n", "-1"),
+        ("verify-cores", "--max-n", "3", "--trials", "-2"),
+    ],
+    ids=["fiber-max-n", "lemma2-max-k", "lemma1-max-m", "core-vanish-max-n", "cores-trials"],
+)
+def test_empty_sweep_bounds_exit_2(argv):
     with pytest.raises(SystemExit) as excinfo:
         main(list(argv))
     assert excinfo.value.code == 2

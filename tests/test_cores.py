@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from _oracles import (
     brute_multipartitions,
+    enumerated_core_row,
     naive_core_terminals,
     naive_is_core,
     naive_rim_hook_removals,
@@ -169,6 +170,34 @@ def test_count_k_cores_against_filter_oracle():
         for k in range(1, n + 3):
             expected = sum(1 for lam in partitions_of(n) if naive_is_core(tuple(lam), k))
             assert count_k_cores(n, k) == expected
+
+
+def test_count_k_cores_matches_enumeration():
+    # the generating function against the enumeration oracle, k = 1 and
+    # k = n + 1 (every partition is a core) included
+    for n in range(61):
+        row = enumerated_core_row(n)
+        for k in range(1, n + 2):
+            assert count_k_cores(n, k) == row[k], (n, k)
+        assert count_k_cores(n, n + 5) == row[n + 1] == partition_count(n)
+
+
+def test_count_2_cores_closed_form():
+    # the 2-cores are the staircases (m, m-1, ..., 1), of triangular size
+    triangular = {m * (m + 1) // 2 for m in range(21)}
+    for n in range(201):
+        assert count_k_cores(n, 2) == (1 if n in triangular else 0), n
+
+
+def test_count_3_cores_closed_form():
+    # Granville-Ono: c_3(n) = d_{1,3}(3n + 1) - d_{2,3}(3n + 1), divisors
+    # counted by residue mod 3
+    for n in range(201):
+        divisors = [d for d in range(1, 3 * n + 2) if (3 * n + 1) % d == 0]
+        expected = sum(1 for d in divisors if d % 3 == 1) - sum(
+            1 for d in divisors if d % 3 == 2
+        )
+        assert count_k_cores(n, 3) == expected, n
 
 
 def test_count_k_cores_validation():
