@@ -14,6 +14,7 @@ import time
 from dataclasses import dataclass
 
 from snchar.census import table_census
+from snchar.padic import is_prime
 
 
 @dataclass(frozen=True)
@@ -35,6 +36,12 @@ def parse_config(argv=None) -> SweepConfig:
     parser.add_argument("--cache-dir", default=None)
     parser.add_argument("--out", default=None, help="CSV path (default: stdout)")
     args = parser.parse_args(argv)
+    if not is_prime(args.p):
+        parser.error(f"--p must be prime, got {args.p}")
+    if args.jobs < 1:
+        parser.error(f"--jobs must be at least 1, got {args.jobs}")
+    if not 0 <= args.min_n <= args.max_n:
+        parser.error(f"need 0 <= --min-n <= --max-n, got {args.min_n} and {args.max_n}")
     return SweepConfig(args.p, args.min_n, args.max_n, args.jobs, args.cache_dir, args.out)
 
 

@@ -1,36 +1,52 @@
-"""Character values of symmetric groups by rim-hook recursion, exact and mod p.
+"""Character values of symmetric groups by the Murnaghan-Nakayama rule, exact
+and mod p.
 
 The value of the irreducible character indexed by alpha on the class with
-cycle parts beta expands over removable rim hooks:
+cycle parts beta expands over rim hooks:
 
     chi(alpha, beta) = sum over rim hooks H of length beta_1 removable
                        from alpha of (-1)**leg(H) * chi(alpha - H, beta')
 
-where beta' drops the consumed part and chi((), ()) = 1.  Parts of beta are
-consumed largest first: if alpha has no hook of that length the whole branch
-dies immediately, which is where the zeros this package censuses come from.
-Rim-hook search runs on beta-sets (a hook of length t is a bead x with x - t
-vacant), so each probe is linear in the number of parts.
+where beta' drops the consumed part and chi((), ()) = 1.  The rule holds for
+any order of the parts, and it runs here in two directions:
+
+- backward, for one entry (mn_character): rim hooks are stripped from alpha,
+  largest part of beta first, memoized on (partition, parts consumed).  The
+  probe runs on beta-sets (a hook of length t is a bead x with x - t vacant).
+- forward, for a whole column (compute_column): starting from the empty
+  partition, a rim hook is added for each part of mu, smallest first, on
+  n-bead masks (a bead x moves to a vacant x + t, and the leg is the number
+  of beads it jumps).  One pass reaches every row; entries that cancel, mod
+  p if a modulus is set, are dropped after each part, so the rows left at
+  the end are exactly the nonzero ones.
+
+The two directions share no code; the tests check each against the other.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import repeat
 
 from .cores import _rim_hook_options
 from .padic import is_prime
-from .partitions import Partition, enumerate_partitions, hook_lengths
+from .partitions import Partition, _beta_mask, enumerate_partitions, hook_lengths
 
 _MISSING = object()
 
 
 class MemoCache:
-    """Memo table for (partition, parts-consumed) states of one evaluation.
+    """Memo table and counters of one evaluation; they never change results
+    and exist for instrumentation only.
 
-    Keys are scoped to a fixed class partition, so the stage index identifies
-    the remaining suffix.  Lookups never change results; the statistics exist
-    for instrumentation only.
+    Backward (_mn_eval): table maps (partition, parts consumed) to a value,
+    scoped to one class partition; a miss is a state evaluated, a hit a
+    lookup answered from the table.  Forward (compute_column): after each
+    part, misses grow by the distinct states reached and hits by the moves
+    that merged into a state already reached; table ends as the last stage,
+    the nonzero rows keyed by bead mask.
     """
 
     __slots__ = ("table", "hits", "misses")
@@ -108,8 +124,15 @@ def mn_character(alpha, beta, p: int | None = None) -> int:
 
 
 def compute_column(n: int, mu, modulus: int | None = None) -> CharColumn:
-    """Character values for every partition of n on the class mu, in canonical
-    order, sharing one memo cache across the whole column."""
+    """Character values for every partition of n on the class mu, in
+    enumerate_partitions(n) order: exact, or reduced mod a prime modulus.
+
+    The whole column is built forward in one pass, adding a rim hook for
+    each part of mu (smallest first) to every state of the previous stage,
+    starting from the empty partition.  Entries that cancel to zero (mod
+    modulus, if set) are dropped after each part, so a row is zero exactly
+    when the last stage does not reach it.
+    """
     mu = Partition(mu)
     if n < 0:
         raise ValueError("n must be non-negative")
@@ -118,11 +141,35 @@ def compute_column(n: int, mu, modulus: int | None = None) -> CharColumn:
     if modulus is not None and not is_prime(modulus):
         raise ValueError(f"modulus must be prime, got {modulus!r}")
     cache = MemoCache()
-    beta = tuple(mu)
-    values = tuple(
-        _mn_eval(tuple(alpha), beta, modulus, cache) for alpha in enumerate_partitions(n)
-    )
+    states = {(1 << n) - 1: 1}
+    for t in reversed(mu):
+        reached: dict = {}
+        moves = 0
+        for mask, value in states.items():
+            cand = mask & ~(mask >> t)
+            moves += cand.bit_count()
+            while cand:
+                bit = cand & -cand
+                cand ^= bit
+                # the leg length is the number of beads the moved bead jumps
+                jumped = mask & ((bit << t) - (bit << 1))
+                key = mask ^ bit ^ (bit << t)
+                reached[key] = reached.get(key, 0) + (-value if jumped.bit_count() & 1 else value)
+        if modulus is None:
+            states = {key: v for key, v in reached.items() if v}
+        else:
+            states = {key: r for key, v in reached.items() if (r := v % modulus)}
+        cache.misses += len(reached)
+        cache.hits += moves - len(reached)
+    cache.table = states
+    values = tuple(map(states.get, _row_masks(n), repeat(0)))
     return CharColumn(n=n, mu=mu, modulus=modulus, values=values)
+
+
+@lru_cache(maxsize=8)
+def _row_masks(n: int) -> tuple[int, ...]:
+    # The n-bead mask of each partition of n, in enumerate_partitions(n) order.
+    return tuple(_beta_mask(alpha + (0,) * (n - len(alpha))) for alpha in enumerate_partitions(n))
 
 
 def dimension(alpha) -> int:

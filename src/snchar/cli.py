@@ -294,6 +294,17 @@ def _int_at_least(low: int):
     return parse
 
 
+# The flags each verify-bounds lemma reads, with their defaults; any other
+# flag given with that lemma is an argparse error (exit 2).
+_LEMMA_FLAGS = {
+    "1": {"max_k": 10, "max_m": 40},
+    "2": {"max_n": 60, "max_k": 0},
+    "fiber": {"max_n": 60, "max_k": 0},
+    "3": {"max_n": 60, "max_k": 0, "c": census.DEFAULT_C},
+    "hr": {"max_m": 40},
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     positive = _int_at_least(1)
     common = argparse.ArgumentParser(add_help=False)
@@ -346,11 +357,15 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify-bounds", parents=[common],
                         help="exact sweeps of the counting bounds")
     sp.add_argument("--lemma", required=True, choices=("1", "2", "3", "fiber", "hr"))
-    sp.add_argument("--max-n", type=positive, default=60)
-    sp.add_argument("--max-k", type=_int_at_least(0), default=0,
-                    help="cap on k (default or 0: up to n, or 10 for --lemma 1)")
-    sp.add_argument("--max-m", type=positive, default=40)
-    sp.add_argument("--c", type=float, default=census.DEFAULT_C)
+    sp.add_argument("--max-n", type=positive, default=None,
+                    help="largest n (lemmas 2, 3, fiber; default 60)")
+    sp.add_argument("--max-k", type=_int_at_least(0), default=None,
+                    help="cap on k (lemmas 2, 3, fiber: default or 0 means up to n; "
+                         "lemma 1: default 10)")
+    sp.add_argument("--max-m", type=positive, default=None,
+                    help="largest m (lemmas 1, hr; default 40)")
+    sp.add_argument("--c", type=float, default=None,
+                    help=f"threshold constant (lemma 3; default {census.DEFAULT_C})")
     sp.set_defaults(func=cmd_verify_bounds)
 
     sp = sub.add_parser("verify-core-vanish", parents=[common],
@@ -372,8 +387,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "verify-bounds" and args.lemma == "1" and not args.max_k:
-        args.max_k = 10
+    if args.command == "verify-bounds":
+        read = _LEMMA_FLAGS[args.lemma]
+        for flag in ("max_n", "max_k", "max_m", "c"):
+            value = getattr(args, flag)
+            if flag not in read and value is not None:
+                parser.error(f"--lemma {args.lemma} does not read --{flag.replace('_', '-')}")
+            if flag in read and value is None:
+                setattr(args, flag, read[flag])
+        if args.lemma == "1" and args.max_k == 0:
+            parser.error("--lemma 1 needs --max-k of at least 1")
     try:
         return args.func(args)
     except (ValueError, census.ColumnCacheError) as exc:

@@ -11,8 +11,14 @@ from snchar.characters import (
     dimension,
     mn_character,
 )
-from snchar.cores import _rim_hook_options, is_k_core
-from snchar.partitions import Partition, centralizer_order, enumerate_partitions
+from snchar.cores import _rim_hook_options, is_k_core, multipartition_count
+from snchar.padic import p_adic_digits
+from snchar.partitions import (
+    Partition,
+    centralizer_order,
+    enumerate_partitions,
+    partition_count,
+)
 
 
 def P(*parts):
@@ -105,6 +111,40 @@ def test_column_reduced_matches_mod_column():
     # an exact column reduced afterwards equals the column computed mod p
     exact = compute_column(12, P(5, 4, 3))
     assert tuple(v % 3 for v in exact.values) == compute_column(12, P(5, 4, 3), 3).values
+
+
+@pytest.mark.parametrize("p", [None, 2, 3, 5], ids=["exact", "mod2", "mod3", "mod5"])
+def test_forward_column_matches_backward_recursion(p):
+    # compute_column adds rim hooks forward over a whole column; mn_character
+    # strips them backward one entry at a time, so the routes share no code.
+    for n in range(11):
+        for mu in partitions_of(n):
+            assert compute_column(n, mu, p).values == tuple(
+                mn_character(alpha, mu, p=p) for alpha in partitions_of(n)
+            )
+
+
+def test_forward_column_matches_backward_on_random_pairs():
+    rng = random.Random(1902)
+    for _ in range(200):
+        n = rng.randint(14, 18)
+        row = rng.randrange(partition_count(n))
+        mu = rng.choice(partitions_of(n))
+        p = rng.choice((2, 3, 5))
+        expected = mn_character(partitions_of(n)[row], mu, p=p)
+        assert compute_column(n, mu, p).values[row] == expected
+
+
+@pytest.mark.parametrize("p, max_n", [(2, 40), (3, 40), (5, 30)])
+def test_identity_column_counts_p_prime_degrees(p, max_n):
+    # Macdonald (1971): S_n has prod_i multipartition_count(p**i, a_i)
+    # irreducible characters of degree prime to p, over the base-p digits a_i
+    # of n; those are the nonzero rows of the identity column mod p.
+    for n in range(max_n + 1):
+        nonzero = partition_count(n) - compute_column(n, (1,) * n, p).zero_count()
+        assert nonzero == math.prod(
+            multipartition_count(p**i, a) for i, a in enumerate(p_adic_digits(n, p))
+        )
 
 
 def test_dimension_examples():

@@ -160,6 +160,9 @@ def test_verify_bounds_growth_grid(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "check,k,m,lhs,rhs,relation,holds,slack,slack_float"
     assert len(lines) == 1 + 4 * 6
+    code, out, _ = run(capsys, "verify-bounds", "--lemma", "1", "--max-m", "2")
+    assert code == 0
+    assert len(out.strip().splitlines()) == 1 + 10 * 2  # --max-k defaults to 10
 
 
 def test_verify_bounds_deficit_and_fiber(capsys):
@@ -269,4 +272,24 @@ def test_flag_of_another_subcommand_exits_2(argv):
 def test_empty_sweep_bounds_exit_2(argv):
     with pytest.raises(SystemExit) as excinfo:
         main(list(argv))
+    assert excinfo.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--lemma", "hr", "--max-m", "2", "--max-n", "5", "--max-k", "7", "--c", "9"),
+        ("--lemma", "1", "--max-n", "5"),
+        ("--lemma", "1", "--max-k", "0"),
+        ("--lemma", "2", "--max-m", "3"),
+        ("--lemma", "fiber", "--c", "0.4"),
+        ("--lemma", "3", "--max-m", "3"),
+        ("--lemma", "hr", "--max-k", "3"),
+    ],
+    ids=["hr-all", "lemma1-max-n", "lemma1-max-k-0", "lemma2-max-m", "fiber-c",
+         "lemma3-max-m", "hr-max-k"],
+)
+def test_verify_bounds_flag_its_lemma_does_not_read_exits_2(argv):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["verify-bounds", *argv])
     assert excinfo.value.code == 2

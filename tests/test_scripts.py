@@ -39,3 +39,20 @@ def test_census_sweep_rows(capsys):
     rows = list(csv.reader(capsys.readouterr().out.splitlines()))
     assert rows[0] == ["n", "p", "divisible", "table_size", "ratio", "ratio_float", "seconds"]
     assert [row[0] for row in rows[1:]] == ["1", "2", "3", "4"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--max-n", "0"),
+        ("--min-n", "5", "--max-n", "3"),
+        ("--min-n", "-1", "--max-n", "2"),
+        ("--p", "4", "--max-n", "2"),
+        ("--jobs", "0", "--max-n", "2"),
+    ],
+    ids=["max-n-0", "min-above-max", "min-n-negative", "p-not-prime", "jobs-0"],
+)
+def test_census_sweep_rejects_bad_input(argv):
+    with pytest.raises(SystemExit) as excinfo:
+        load_script("census_sweep").main(list(argv))
+    assert excinfo.value.code == 2
