@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cores import count_k_cores, multipartition_count
-from .padic import C_MIN
+from .padic import _require_scale
 from .partitions import partition_count
 
 
@@ -113,8 +113,7 @@ def core_density_report(n: int, k: int, c: float) -> BoundReport:
         raise ValueError("n must be at least 2")
     if k < 1:
         raise ValueError("k must be positive")
-    if not c > C_MIN:
-        raise ValueError(f"c must exceed sqrt(3/2)/pi = {C_MIN:.9f}, got {c}")
+    _require_scale(c)
     pn = partition_count(n)
     rhs = Fraction((k + 1) * partition_count(n - k), pn) if k <= n else Fraction(0)
     k_meets = k >= c * math.sqrt(n) * math.log(n)

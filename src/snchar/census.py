@@ -1,11 +1,13 @@
 """Divisibility census engine: per-column statistics, whole-table counts,
-fiber-congruence and core-vanishing verification, and the column store.
+fiber-congruence and core-vanishing verification, and the census store.
 
-The census computes one mod-p column per p-regular label and reuses it across
-the label's whole fiber; that shortcut is itself verified exhaustively at
-small n by check_fiber_congruence.  Workers are independent, results are
-re-canonicalized after any parallel phase, and all emitted records are
-immutable, so output never depends on job count.
+The census takes the zero count mod p of one column per p-regular label and
+reuses it across the label's whole fiber; that shortcut is itself verified
+exhaustively at small n by check_fiber_congruence.  The counts come from one
+trie walk over the labels (characters.zero_counts), so no column is kept,
+and the store persists them as one file per (n, p).  Workers take whole
+trie branches, results are re-canonicalized after any parallel phase, and
+all emitted records are immutable, so output never depends on job count.
 """
 
 from __future__ import annotations
@@ -13,21 +15,23 @@ from __future__ import annotations
 import hashlib
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from pathlib import Path
 
-from .characters import CharColumn, compute_column
+from .characters import compute_column, zero_counts
 from .cores import count_k_cores, is_k_core
 from .padic import (
     PowerBlockWitness,
     ThresholdParams,
     _require_prime,
+    _require_scale,
     digit_representative,
     few_distinct_parts,
     fiber_partitions,
     fiber_size,
-    is_p_regular,
     p_prime_part,
     p_regular_partitions,
     power_block_witness,
@@ -39,8 +43,8 @@ from .partitions import Partition, enumerate_partitions, partition_count
 # the threshold low, so more columns qualify.
 DEFAULT_C = 0.4
 
-CACHE_VERSION = 1
-_CACHE_MAGIC = "snchar-column"
+CACHE_VERSION = 2
+_CACHE_MAGIC = "snchar-census"
 
 
 @dataclass(frozen=True)
@@ -129,116 +133,99 @@ class CoreVanishReport:
 
 
 class ColumnCacheError(Exception):
-    """Base class for column-store failures."""
+    """Base class for census-store failures."""
 
 
 class ColumnChecksumError(ColumnCacheError):
-    """Stored column content does not match its checksum."""
+    """A stored census file fails its checksum or does not hold the key,
+    labels or counts asked for."""
 
 
 class ColumnVersionError(ColumnCacheError):
-    """Stored column uses an unsupported format version."""
+    """A stored census file uses an unsupported format version."""
 
 
-def _column_payload(column: CharColumn) -> str:
-    return "\n".join(
-        [
-            f"{_CACHE_MAGIC} {CACHE_VERSION}",
-            f"n={column.n}",
-            f"mu={column.mu.to_text()}",
-            f"modulus={column.modulus}",
-            "values=" + ",".join(str(v) for v in column.values),
-        ]
-    )
-
-
-def column_checksum(column: CharColumn) -> str:
+def _checksum(body: str) -> str:
     # 64-bit content checksum, stored as 16 hex digits.
-    return hashlib.sha256(_column_payload(column).encode("ascii")).hexdigest()[:16]
+    return hashlib.sha256(body.encode("ascii")).hexdigest()[:16]
+
+
+def _label_texts(n: int, p: int) -> list[str]:
+    return [lam.to_text() for lam in p_regular_partitions(n, p)]
 
 
 class ColumnStore:
-    """Line-delimited text store, one file per (n, mu, modulus) mod-p column.
+    """Line-delimited text store, one file per (n, p) holding the zero count
+    of each p-regular label's column; per-column files of version 1 are not read.
 
     Writes go through a temp file and an atomic replace, so concurrent readers
-    never observe partial content; distinct keys never contend.  A load checks
-    the file's checksum, that it holds the requested key, and that it has one
-    residue in [0, modulus) per partition of n.
+    never observe partial content.  A load checks the file's checksum, its
+    key, that its labels are p_regular_partitions(n, p) in order, and that
+    each count lies in [0, p(n)].
     """
 
     def __init__(self, root):
         self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
+        try:
+            self.root.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ColumnCacheError(f"cannot use {root} as a store directory: {exc}") from exc
 
-    def path_for(self, n: int, mu: Partition, modulus: int) -> Path:
-        mu_tag = mu.to_text().replace(",", "-")
-        return self.root / f"col_n{n}_mod{modulus}_mu{mu_tag}.txt"
+    def path_for(self, n: int, p: int) -> Path:
+        return self.root / f"census_n{n}_p{p}.txt"
 
-    def save(self, column: CharColumn) -> Path:
-        text = _column_payload(column) + f"\nchecksum={column_checksum(column)}\n"
-        path = self.path_for(column.n, column.mu, column.modulus)
+    def save(self, n: int, p: int, zero_counts) -> Path:
+        body = "\n".join(
+            [
+                f"{_CACHE_MAGIC} {CACHE_VERSION}",
+                f"n={n}",
+                f"p={p}",
+                "labels=" + ";".join(_label_texts(n, p)),
+                "values=" + ",".join(map(str, zero_counts)),
+            ]
+        )
+        path = self.path_for(n, p)
         tmp = path.with_name(path.name + f".tmp{os.getpid()}")
-        tmp.write_text(text, encoding="ascii")
+        tmp.write_text(f"{body}\nchecksum={_checksum(body)}\n", encoding="ascii")
         os.replace(tmp, path)
         return path
 
-    def load(self, n: int, mu: Partition, modulus: int) -> CharColumn:
-        path = self.path_for(n, mu, modulus)
+    def load(self, n: int, p: int) -> tuple[int, ...]:
+        path = self.path_for(n, p)
         text = path.read_text(encoding="ascii")  # missing file -> FileNotFoundError
-        lines = text.splitlines()
+        body, _, checksum = text.rstrip("\n").rpartition("\nchecksum=")
+        lines = body.splitlines()
         try:
             magic, version_text = lines[0].rsplit(" ", 1)
             fields = dict(line.split("=", 1) for line in lines[1:])
         except (IndexError, ValueError) as exc:
-            raise ColumnChecksumError(f"{path} is not a column file") from exc
+            raise ColumnChecksumError(f"{path} is not a census file") from exc
         if magic != _CACHE_MAGIC or version_text != str(CACHE_VERSION):
             raise ColumnVersionError(f"{path} has unsupported header {lines[0]!r}")
-        values_text = fields.get("values", "")
-        try:
-            column = CharColumn(
-                n=int(fields["n"]),
-                mu=Partition.from_text(fields["mu"]),
-                modulus=int(fields["modulus"]),
-                values=tuple(int(v) for v in values_text.split(",")) if values_text else (),
-            )
-        except (KeyError, ValueError) as exc:
-            raise ColumnChecksumError(f"{path} is not a column file") from exc
-        if fields.get("checksum") != column_checksum(column):
+        if checksum != _checksum(body):
             raise ColumnChecksumError(f"{path} failed its checksum")
-        if (column.n, column.mu, column.modulus) != (n, mu, modulus):
-            raise ColumnChecksumError(
-                f"{path} holds n={column.n} mu={column.mu} modulus={column.modulus}, "
-                f"not n={n} mu={mu} modulus={modulus}"
-            )
-        values = column.values
-        if len(values) != partition_count(n):
-            raise ColumnChecksumError(
-                f"{path} has {len(values)} values, not p({n}) = {partition_count(n)}"
-            )
-        if min(values) < 0 or max(values) >= modulus:
-            raise ColumnChecksumError(f"{path} has a value outside [0, {modulus})")
-        return column
+        try:
+            key = (int(fields["n"]), int(fields["p"]))
+            labels_text = fields["labels"]
+            counts = tuple(int(v) for v in fields["values"].split(","))
+        except (KeyError, ValueError) as exc:
+            raise ColumnChecksumError(f"{path} is not a census file") from exc
+        if key != (n, p):
+            raise ColumnChecksumError(f"{path} holds n={key[0]} p={key[1]}, not n={n} p={p}")
+        labels = _label_texts(n, p)
+        if labels_text.split(";") != labels:
+            raise ColumnChecksumError(f"{path} does not list the {p}-regular partitions of {n}")
+        if len(counts) != len(labels):
+            raise ColumnChecksumError(f"{path} has {len(counts)} counts for {len(labels)} labels")
+        if min(counts) < 0 or max(counts) > partition_count(n):
+            raise ColumnChecksumError(f"{path} has a count outside [0, p({n})]")
+        return counts
 
 
-def column_divisibility(
-    n: int, p: int, mu, c: float = DEFAULT_C, exact: bool = False
+def _column_record(
+    n: int, p: int, mu: Partition, zero_count: int, c: float
 ) -> ColumnDivisibilityRecord:
-    """Zero statistics of the column of mu mod p, with threshold predicates
-    evaluated on its p-regular label.
-
-    exact=True computes the exact column and reduces it, instead of running
-    the recursion in modular arithmetic; the record is identical either way.
-    """
-    _require_prime(p)
-    mu = Partition(mu)
-    if mu.n != n:
-        raise ValueError(f"{mu} is not a partition of {n}")
-    if exact:
-        column = compute_column(n, mu, None)
-        zero_count = sum(1 for v in column.values if v % p == 0)
-    else:
-        column = compute_column(n, mu, p)
-        zero_count = column.zero_count()
+    # The record of mu's column mod p, given its zero count.
     label = p_prime_part(mu, p)
     representative = digit_representative(label, p)
     core_floor = count_k_cores(n, representative[0]) if representative else 0
@@ -263,6 +250,27 @@ def column_divisibility(
         qualifies_few_parts=qualifies_few_parts,
         core_floor=core_floor,
     )
+
+
+def column_divisibility(
+    n: int, p: int, mu, c: float = DEFAULT_C, exact: bool = False
+) -> ColumnDivisibilityRecord:
+    """Zero statistics of the column of mu mod p, with threshold predicates
+    evaluated on its p-regular label.
+
+    exact=True computes the exact column and reduces it, instead of running
+    the recursion in modular arithmetic; the record is identical either way.
+    """
+    _require_prime(p)
+    _require_scale(c)
+    mu = Partition(mu)
+    if mu.n != n:
+        raise ValueError(f"{mu} is not a partition of {n}")
+    if exact:
+        zero_count = sum(1 for v in compute_column(n, mu, None).values if v % p == 0)
+    else:
+        zero_count = compute_column(n, mu, p).zero_count()
+    return _column_record(n, p, mu, zero_count, c)
 
 
 def check_fiber_congruence(n: int, p: int, lam) -> FiberCongruenceReport:
@@ -318,54 +326,56 @@ def check_core_vanishing(n: int, k: int) -> CoreVanishReport:
     )
 
 
-def _census_task(args: tuple[int, Partition, int]) -> CharColumn:
-    return compute_column(*args)
+def _trie_census(n: int, p: int, labels: list[Partition], jobs: int) -> tuple[int, ...]:
+    # Zero counts in label order.  The trie is split at its first level,
+    # (smallest part, its multiplicity), and workers take whole branches,
+    # largest first.
+    by_key: dict[tuple, list[Partition]] = {}
+    for lam in labels:
+        by_key.setdefault((lam[-1], lam.count(lam[-1])) if lam else (), []).append(lam)
+    branches = sorted(by_key.values(), key=len, reverse=True)
+    workers = min(jobs, len(branches), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            computed = list(pool.map(zero_counts, repeat(n), branches, repeat(p)))
+    else:
+        computed = list(map(zero_counts, repeat(n), branches, repeat(p)))
+    by_label = {}
+    for branch, counts in zip(branches, computed):
+        by_label.update(zip(branch, counts))
+    return tuple(by_label[lam] for lam in labels)
 
 
 def table_census(n: int, p: int, jobs: int = 1, cache_dir=None) -> CensusResult:
     """Count the entries of the full character table of degree n divisible by p.
 
-    Computes one mod-p column per p-regular label (optionally in parallel,
-    optionally persisted under cache_dir) and weights its zero count by the
-    label's fiber size.  Output is canonicalized after the parallel phase, so
-    repeated runs and different job counts give identical results.  The pool
-    gets at most one worker per pending column and per CPU.
+    Takes the zero count mod p of one column per p-regular label (from the
+    store under cache_dir, else by a trie walk, optionally in parallel) and
+    weights it by the label's fiber size.  Output is canonicalized after the
+    parallel phase, so repeated runs and different job counts give identical
+    results.  The pool gets at most one worker per trie branch and per CPU.
     """
     _require_prime(p)
     if n < 0:
         raise ValueError("n must be non-negative")
     if jobs < 1:
         raise ValueError("jobs must be positive")
-    labels = [lam for lam in enumerate_partitions(n) if is_p_regular(lam, p)]
+    labels = list(p_regular_partitions(n, p))
     store = ColumnStore(cache_dir) if cache_dir is not None else None
-    columns: dict[Partition, CharColumn] = {}
-    pending: list[Partition] = []
-    for lam in labels:
-        if store is not None:
-            try:
-                columns[lam] = store.load(n, lam, p)
-            except FileNotFoundError:
-                pending.append(lam)
-        else:
-            pending.append(lam)
-    hits = len(columns)
-    workers = min(jobs, len(pending), os.cpu_count() or 1)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            computed = pool.map(_census_task, [(n, lam, p) for lam in pending])
-            columns.update(zip(pending, computed))
-    else:
-        for lam in pending:
-            columns[lam] = compute_column(n, lam, p)
+    zeros = None
     if store is not None:
-        for lam in pending:
-            store.save(columns[lam])
+        with suppress(FileNotFoundError):
+            zeros = store.load(n, p)
+    hits = 0 if zeros is None else len(labels)
+    if zeros is None:
+        zeros = _trie_census(n, p, labels, jobs)
+        if store is not None:
+            store.save(n, p, zeros)
     total = partition_count(n)
     summaries = []
     divisible = 0
     covered = 0
-    for lam in labels:
-        zero_count = columns[lam].zero_count()
+    for lam, zero_count in zip(labels, zeros):
         size = fiber_size(lam, p)
         covered += size
         divisible += size * zero_count
@@ -381,28 +391,32 @@ def table_census(n: int, p: int, jobs: int = 1, cache_dir=None) -> CensusResult:
         table_size=total * total,
         ratio=Fraction(divisible, total * total),
     )
-    return CensusResult(record, tuple(summaries), hits, len(pending))
+    return CensusResult(record, tuple(summaries), hits, len(labels) - hits)
 
 
 def threshold_experiment(n: int, p: int, c: float) -> list[ColumnDivisibilityRecord]:
     """Divisibility records for every qualifying label's digit representative.
 
-    For each p-regular label passing the threshold predicate, computes the
-    record of its digit representative's column and asserts the exact
-    inequality zero_count >= core_floor.  The asymptotic rate is only data.
+    For each p-regular label passing the threshold predicate, takes the zero
+    count of its digit representative's column from one trie walk over all
+    the representatives, builds its record and asserts the exact inequality
+    zero_count >= core_floor.  The asymptotic rate is only data.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
     params = ThresholdParams(p=p, c=c, n=n)
+    representatives = [
+        digit_representative(lam, p)
+        for lam in p_regular_partitions(n, p)
+        if power_block_witness(lam, params) is not None
+    ]
     records = []
-    for lam in p_regular_partitions(n, p):
-        if power_block_witness(lam, params) is None:
-            continue
-        record = column_divisibility(n, p, digit_representative(lam, p), c=c)
+    for rep, zero_count in zip(representatives, zero_counts(n, representatives, p)):
+        record = _column_record(n, p, rep, zero_count, c)
         if record.zero_count < record.core_floor:
             raise RuntimeError(
                 f"zero count {record.zero_count} fell below core floor "
-                f"{record.core_floor} on label {lam}; this is a bug"
+                f"{record.core_floor} on label {record.regular_label}; this is a bug"
             )
         records.append(record)
     return records

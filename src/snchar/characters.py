@@ -19,6 +19,9 @@ any order of the parts, and it runs here in two directions:
   of beads it jumps).  One pass reaches every row; entries that cancel, mod
   p if a modulus is set, are dropped after each part, so the rows left at
   the end are exactly the nonzero ones.
+- forward over many classes, for zero counts mod p only (zero_counts): the
+  same step, walked depth first over a trie of the classes' ascending parts,
+  so classes that share their smallest parts share that work.
 
 The two directions share no code; the tests check each against the other.
 """
@@ -32,7 +35,7 @@ from itertools import repeat
 
 from .cores import _rim_hook_options
 from .padic import is_prime
-from .partitions import Partition, _beta_mask, enumerate_partitions, hook_lengths
+from .partitions import Partition, _beta_mask, enumerate_partitions, hook_lengths, partition_count
 
 _MISSING = object()
 
@@ -43,10 +46,10 @@ class MemoCache:
 
     Backward (_mn_eval): table maps (partition, parts consumed) to a value,
     scoped to one class partition; a miss is a state evaluated, a hit a
-    lookup answered from the table.  Forward (compute_column): after each
-    part, misses grow by the distinct states reached and hits by the moves
-    that merged into a state already reached; table ends as the last stage,
-    the nonzero rows keyed by bead mask.
+    lookup answered from the table.  Forward (compute_column, zero_counts):
+    after each part, misses grow by the distinct states reached and hits by
+    the moves that merged into a state already reached; table ends as the
+    last vector built, the nonzero rows keyed by bead mask.
     """
 
     __slots__ = ("table", "hits", "misses")
@@ -55,10 +58,6 @@ class MemoCache:
         self.table: dict = {}
         self.hits = 0
         self.misses = 0
-
-    @property
-    def entries(self) -> int:
-        return len(self.table)
 
 
 def _mn_eval(alpha: tuple, beta: tuple, modulus: int | None, cache: MemoCache | None) -> int:
@@ -143,27 +142,63 @@ def compute_column(n: int, mu, modulus: int | None = None) -> CharColumn:
     cache = MemoCache()
     states = {(1 << n) - 1: 1}
     for t in reversed(mu):
-        reached: dict = {}
-        moves = 0
-        for mask, value in states.items():
-            cand = mask & ~(mask >> t)
-            moves += cand.bit_count()
-            while cand:
-                bit = cand & -cand
-                cand ^= bit
-                # the leg length is the number of beads the moved bead jumps
-                jumped = mask & ((bit << t) - (bit << 1))
-                key = mask ^ bit ^ (bit << t)
-                reached[key] = reached.get(key, 0) + (-value if jumped.bit_count() & 1 else value)
-        if modulus is None:
-            states = {key: v for key, v in reached.items() if v}
-        else:
-            states = {key: r for key, v in reached.items() if (r := v % modulus)}
-        cache.misses += len(reached)
-        cache.hits += moves - len(reached)
+        states = _add_hooks(states, t, modulus, cache)
     cache.table = states
     values = tuple(map(states.get, _row_masks(n), repeat(0)))
     return CharColumn(n=n, mu=mu, modulus=modulus, values=values)
+
+
+def zero_counts(n: int, labels, p: int) -> tuple[int, ...]:
+    """Zero count mod a prime p of the column of each class in labels, all
+    partitions of n, in the order given.
+
+    Written with ascending parts, the labels form a trie, walked depth first:
+    each node adds one rim hook to its parent's vector (compute_column's
+    step), and only the vectors on the current path are alive.  A leaf's
+    zero count is p(n) minus the rows its vector still holds.
+    """
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p!r}")
+    if any(Partition(lam).n != n for lam in labels):
+        raise ValueError(f"every class must be a partition of {n}")
+    total = partition_count(n)
+    cache = MemoCache()
+    path = [{(1 << n) - 1: 1}]  # path[i]: the vector after the i smallest parts
+    previous: tuple = ()
+    counts = {}
+    for parts in sorted({lam[::-1] for lam in labels}):
+        shared = 0
+        while shared < min(len(parts), len(previous)) and parts[shared] == previous[shared]:
+            shared += 1
+        del path[shared + 1:]
+        for t in parts[shared:]:
+            path.append(_add_hooks(path[-1], t, p, cache))
+        counts[parts] = total - len(path[-1])
+        previous = parts
+    cache.table = path[-1]
+    return tuple(counts[lam[::-1]] for lam in labels)
+
+
+def _add_hooks(states: dict, t: int, modulus: int | None, cache: MemoCache) -> dict:
+    # One forward MN step: every way of adding a rim hook of length t to each
+    # state, summed per new state, then reduced and stripped of zeros.
+    reached: dict = {}
+    moves = 0
+    for mask, value in states.items():
+        cand = mask & ~(mask >> t)
+        moves += cand.bit_count()
+        while cand:
+            bit = cand & -cand
+            cand ^= bit
+            # the leg length is the number of beads the moved bead jumps
+            jumped = mask & ((bit << t) - (bit << 1))
+            key = mask ^ bit ^ (bit << t)
+            reached[key] = reached.get(key, 0) + (-value if jumped.bit_count() & 1 else value)
+    cache.misses += len(reached)
+    cache.hits += moves - len(reached)
+    if modulus is None:
+        return {key: v for key, v in reached.items() if v}
+    return {key: r for key, v in reached.items() if (r := v % modulus)}
 
 
 @lru_cache(maxsize=8)

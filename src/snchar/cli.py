@@ -332,9 +332,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--jobs", type=int, default=1,
-                    help="worker processes (at most one per pending column and per CPU)")
+                    help="worker processes (at most one per pending trie branch and per CPU)")
     sp.add_argument("--cache-dir", default=None,
-                    help="directory for persisted column files")
+                    help="directory for persisted census zero counts")
     sp.set_defaults(func=cmd_census)
 
     sp = sub.add_parser("fibers", parents=[common],

@@ -45,6 +45,12 @@ def _require_prime(p: int) -> None:
         raise ValueError(f"p must be prime, got {p!r}")
 
 
+def _require_scale(c: float) -> None:
+    # A finite c above the floor; c = inf would put every threshold out of reach.
+    if not (math.isfinite(c) and c > C_MIN):
+        raise ValueError(f"c must be finite and exceed sqrt(3/2)/pi = {C_MIN:.9f}, got {c}")
+
+
 def p_prime_part(mu, p: int) -> Partition:
     """Cycle type of the p'-part: each part a * p**k (p not dividing a)
     contributes p**k parts a.  Size-preserving, idempotent, lands in the
@@ -191,8 +197,7 @@ class ThresholdParams:
 
     def __post_init__(self):
         _require_prime(self.p)
-        if not self.c > C_MIN:
-            raise ValueError(f"c must exceed sqrt(3/2)/pi = {C_MIN:.9f}, got {self.c}")
+        _require_scale(self.c)
         if self.n < 1:
             raise ValueError("n must be positive")
 

@@ -146,6 +146,9 @@ def test_core_density_validation():
         core_density_report(10, 0, 0.4)
     with pytest.raises(ValueError):
         core_density_report(10, 3, 0.2)
+    for c in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            core_density_report(10, 3, c)
 
 
 def test_growth_envelope_first_value():

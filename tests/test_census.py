@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,7 @@ from snchar.census import (
     table_census,
     threshold_experiment,
 )
-from snchar.characters import CharColumn, compute_column
+from snchar.characters import compute_column, mn_character
 from snchar.cores import count_k_cores
 from snchar.padic import digit_representative, p_regular_partitions
 from snchar.partitions import Partition
@@ -158,6 +159,16 @@ def test_census_matches_direct_per_class_count():
             assert table_census(n, p).record.divisible_count == direct
 
 
+def test_census_zero_counts_match_backward_recursion():
+    # the census walks a trie with compute_column's step; the backward
+    # recursion shares no code with it
+    for n in range(13):
+        for p in (2, 3, 5):
+            for col in table_census(n, p).columns:
+                zeros = sum(mn_character(alpha, col.label, p) == 0 for alpha in partitions_of(n))
+                assert col.zero_count == zeros, (n, p, col.label)
+
+
 def test_census_parallel_matches_serial():
     serial = table_census(12, 2, jobs=1)
     parallel = table_census(12, 2, jobs=2)
@@ -173,60 +184,85 @@ def test_census_validation():
         table_census(4, 2, jobs=0)
 
 
+def _rechecksum(path, body):
+    # rewrite a store file with the given body and a checksum that fits it
+    digest = hashlib.sha256(body.encode("ascii")).hexdigest()[:16]
+    path.write_text(f"{body}\nchecksum={digest}\n")
+
+
 def test_cache_round_trip(tmp_path):
-    column = compute_column(4, P(3, 1), 2)
-    ColumnStore(tmp_path).save(column)
-    assert ColumnStore(tmp_path).load(4, P(3, 1), 2) == column
+    zeros = tuple(col.zero_count for col in table_census(6, 2).columns)
+    path = ColumnStore(tmp_path).save(6, 2, zeros)
+    assert path == ColumnStore(tmp_path).path_for(6, 2)
+    assert ColumnStore(tmp_path).load(6, 2) == zeros
 
 
 def test_cache_missing_file(tmp_path):
     with pytest.raises(FileNotFoundError):
-        ColumnStore(tmp_path).load(4, P(4), 2)
+        ColumnStore(tmp_path).load(4, 2)
 
 
 def test_cache_detects_tampering(tmp_path):
     store = ColumnStore(tmp_path)
-    path = store.save(CharColumn(4, P(3, 1), 2, (1, 0, 1, 1, 0)))
+    path = store.save(4, 2, (1, 2))
     text = path.read_text()
-    path.write_text(text.replace("values=1,0", "values=0,0", 1))
+    path.write_text(text.replace("values=1,2", "values=0,2", 1))
     with pytest.raises(ColumnChecksumError):
-        store.load(4, P(3, 1), 2)
+        store.load(4, 2)
     path.write_text(text.replace("n=4\n", "", 1))
     with pytest.raises(ColumnChecksumError):
-        store.load(4, P(3, 1), 2)
+        store.load(4, 2)
+    _rechecksum(path, text.replace("n=4\n", "", 1).rpartition("\nchecksum=")[0])
+    with pytest.raises(ColumnChecksumError, match="not a census file"):
+        store.load(4, 2)
 
 
 def test_cache_rejects_unknown_version(tmp_path):
     store = ColumnStore(tmp_path)
-    path = store.save(CharColumn(4, P(3, 1), 2, (1, 0, 1, 1, 0)))
+    path = store.save(4, 2, (1, 2))
     text = path.read_text()
-    path.write_text(text.replace(f"column {CACHE_VERSION}", f"column {CACHE_VERSION + 1}", 1))
+    path.write_text(text.replace(f"census {CACHE_VERSION}", f"census {CACHE_VERSION + 1}", 1))
     with pytest.raises(ColumnVersionError):
-        store.load(4, P(3, 1), 2)
+        store.load(4, 2)
 
 
 @pytest.mark.parametrize(
-    "values",
-    [(1, 0, 1, 1), (1, 0, 1, 1, 0, 1), (1, 0, 2, 1, 0), (1, 0, -1, 1, 0)],
-    ids=["short", "long", "above-modulus", "negative"],
+    "counts, problem",
+    [((1,), "counts for"), ((1, 2, 0), "counts for"), ((1, 6), "outside"), ((1, -1), "outside")],
+    ids=["short", "long", "above-pn", "negative"],
 )
-def test_cache_rejects_checksummed_bad_values(tmp_path, values):
+def test_cache_rejects_checksummed_bad_values(tmp_path, counts, problem):
     # the file passes its own checksum; its length or range gives it away
+    # (n = 4, p = 2 has the labels (3,1) and (1,1,1,1), and p(4) = 5)
     store = ColumnStore(tmp_path)
-    store.save(CharColumn(4, P(3, 1), 2, values))
-    with pytest.raises(ColumnChecksumError):
-        store.load(4, P(3, 1), 2)
+    store.save(4, 2, counts)
+    with pytest.raises(ColumnChecksumError, match=problem):
+        store.load(4, 2)
 
 
 def test_census_cache_rejects_swapped_file(tmp_path):
-    # a valid, checksummed column filed under another label's key
+    # a valid, checksummed census filed under another key
     first = table_census(6, 2, cache_dir=tmp_path)
     assert first.record.divisible_count == 44
     store = ColumnStore(tmp_path)
-    swapped = store.path_for(6, P(3, 3), 2)
-    swapped.write_bytes(store.path_for(6, P(5, 1), 2).read_bytes())
-    with pytest.raises(ColumnChecksumError):
+    store.path_for(6, 3).write_bytes(store.path_for(6, 2).read_bytes())
+    with pytest.raises(ColumnChecksumError, match="holds n=6 p=2"):
+        table_census(6, 3, cache_dir=tmp_path)
+    # the right key, checksummed, but a wrong label line
+    body = store.path_for(6, 2).read_text().rpartition("\nchecksum=")[0]
+    _rechecksum(store.path_for(6, 2), body.replace("labels=5,1;", "labels=4,2;", 1))
+    with pytest.raises(ColumnChecksumError, match="regular partitions"):
         table_census(6, 2, cache_dir=tmp_path)
+
+
+def test_census_ignores_version_1_column_files(tmp_path):
+    (tmp_path / "col_n6_mod2_mu5-1.txt").write_text(
+        "snchar-column 1\nn=6\nmu=5,1\nmodulus=2\nvalues=1,1,0,0,1,1,0,1,1,1,1\n"
+        "checksum=0123456789abcdef\n"
+    )
+    result = table_census(6, 2, cache_dir=tmp_path)
+    assert (result.cache_hits, result.cache_misses) == (0, len(result.columns))
+    assert result.record == table_census(6, 2).record
 
 
 def test_census_jobs_clamped_to_pending_and_cpus(monkeypatch):
@@ -243,13 +279,16 @@ def test_census_jobs_clamped_to_pending_and_cpus(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, iterable):
-            return map(fn, iterable)
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
 
     monkeypatch.setattr(census, "ProcessPoolExecutor", SerialPool)
     serial = table_census(6, 2)
-    pending = len(serial.columns)  # 4 odd-part labels of 6
-    for cpus, jobs, expected in ((64, 64, [pending]), (3, 64, [3]), (64, 2, [2]), (1, 64, [])):
+    # first trie level, (smallest part, its multiplicity), of the odd-part
+    # labels of 6: (5,1), (3,3), (3,1,1,1) and (1^6) give 4 branches
+    branches = len({(col.label[-1], col.label.count(col.label[-1])) for col in serial.columns})
+    assert branches == 4
+    for cpus, jobs, expected in ((64, 64, [branches]), (3, 64, [3]), (64, 2, [2]), (1, 64, [])):
         sizes.clear()
         monkeypatch.setattr(census.os, "cpu_count", lambda: cpus)
         assert table_census(6, 2, jobs=jobs) == serial
@@ -283,6 +322,15 @@ def test_threshold_experiment_all_floors_hold():
             assert rec.zero_count >= rec.core_floor
             assert 0 <= rec.proportion <= 1
             assert rec.qualifies_threshold
+
+
+@pytest.mark.parametrize("n, p", [(16, 2), (20, 3), (24, 2)])
+def test_threshold_experiment_matches_column_divisibility(n, p):
+    # one trie walk over all representatives against one column each
+    records = threshold_experiment(n, p, 0.4)
+    assert records
+    for rec in records:
+        assert rec == column_divisibility(n, p, rec.mu, c=0.4)
 
 
 def test_threshold_experiment_validation():

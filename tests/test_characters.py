@@ -10,6 +10,7 @@ from snchar.characters import (
     compute_column,
     dimension,
     mn_character,
+    zero_counts,
 )
 from snchar.cores import _rim_hook_options, is_k_core, multipartition_count
 from snchar.padic import p_adic_digits
@@ -223,7 +224,7 @@ def test_memo_cache_statistics():
     beta = (3, 2, 1)
     for alpha in partitions_of(6):
         _mn_eval(tuple(alpha), beta, None, cache)
-    assert cache.entries == cache.misses
+    assert len(cache.table) == cache.misses
     assert cache.hits > 0
     before = (cache.hits, cache.misses)
     # replaying the column only produces hits at the top level
@@ -231,3 +232,21 @@ def test_memo_cache_statistics():
         _mn_eval(tuple(alpha), beta, None, cache)
     assert cache.misses == before[1]
     assert cache.hits > before[0]
+
+
+def test_zero_counts_any_classes_in_given_order():
+    # every class, not only p-regular ones, in reverse order with repeats
+    for n in range(9):
+        classes = list(reversed(partitions_of(n))) + [partitions_of(n)[0]]
+        for p in (2, 3):
+            expected = tuple(compute_column(n, mu, p).zero_count() for mu in classes)
+            assert zero_counts(n, classes, p) == expected
+
+
+def test_zero_counts_validation():
+    with pytest.raises(ValueError):
+        zero_counts(4, [(3, 1)], 4)
+    with pytest.raises(ValueError):
+        zero_counts(4, [(3, 1), (2, 1)], 2)
+    with pytest.raises(ValueError):
+        zero_counts(4, [(1, 3)], 2)

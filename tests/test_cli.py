@@ -229,6 +229,34 @@ def test_corrupt_cache_store_exits_2(tmp_path, capsys):
     assert "invalid input" in err
 
 
+@pytest.mark.parametrize("target", ["file", "file/x"], ids=["a-file", "below-a-file"])
+def test_census_cache_dir_that_cannot_be_a_directory_exits_2(tmp_path, capsys, target):
+    (tmp_path / "file").write_text("not a directory\n")
+    code, out, err = run(capsys, "census", "--n", "6", "--p", "2",
+                         "--cache-dir", str(tmp_path / target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("invalid input: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("theorem-check", "--n", "12", "--p", "2", "--c", "inf"),
+        ("theorem-check", "--n", "12", "--p", "2", "--c", "inf", "--lambda", "11,1"),
+        ("verify-bounds", "--lemma", "3", "--max-n", "6", "--c", "inf"),
+        ("column", "--n", "6", "--p", "2", "--mu", "3,3", "--c", "inf"),
+        ("column", "--n", "1", "--p", "2", "--mu", "1", "--c", "inf"),
+    ],
+    ids=["theorem-check", "theorem-check-lambda", "verify-bounds", "column", "column-n1"],
+)
+def test_infinite_c_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "must be finite" in err
+
+
 def test_verify_cores_seeded(capsys):
     first = run(capsys, "verify-cores", "--max-n", "6", "--trials", "5", "--seed", "9")
     second = run(capsys, "verify-cores", "--max-n", "6", "--trials", "5", "--seed", "9")

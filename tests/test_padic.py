@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -153,6 +155,9 @@ def test_threshold_params_validation():
         ThresholdParams(p=4, c=0.5, n=5)
     with pytest.raises(ValueError):
         ThresholdParams(p=2, c=0.5, n=0)
+    for c in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            ThresholdParams(p=2, c=c, n=5)
 
 
 def test_predicates_require_n_at_least_2():
