@@ -9,16 +9,15 @@ ties them to the pentagonal recurrence and the multipartition convolution.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .cores import count_k_cores, multipartition_count
 from .padic import _require_scale
 from .partitions import partition_count
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """One checked comparison: lhs (relation) rhs, with exact slack lhs/rhs
     (None when rhs is 0)."""
 
@@ -129,8 +128,7 @@ def core_density_report(n: int, k: int, c: float) -> BoundReport:
     )
 
 
-@dataclass(frozen=True)
-class GrowthEnvelopeReport:
+class GrowthEnvelopeReport(NamedTuple):
     """p(m) against the exponential growth scale exp(pi * sqrt(2m/3)) / m.
 
     ratio = p(m) * m / exp(pi * sqrt(2m/3)); sweeping m and reading off the

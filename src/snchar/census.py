@@ -4,24 +4,28 @@ fiber-congruence and core-vanishing verification, and the census store.
 The census takes the zero count mod p of one column per p-regular label and
 reuses it across the label's whole fiber; that shortcut is itself verified
 exhaustively at small n by check_fiber_congruence.  The counts come from one
-trie walk over the labels (characters.zero_counts), so no column is kept,
-and the store persists them as one file per (n, p).  Workers take whole
-trie branches, results are re-canonicalized after any parallel phase, and
-all emitted records are immutable, so output never depends on job count.
+trie walk over the labels' digit representatives (characters.zero_counts),
+the fiber members with the fewest parts, so no column is kept, and the store
+persists them as one file per (n, p).  Workers take whole trie branches,
+results are re-canonicalized after any parallel phase, and all emitted
+records are immutable, so output never depends on job count.
+
+concurrent.futures (and multiprocessing with it) and hashlib load on first
+use, so a census that needs neither the pool nor the store does not pay for
+them at start-up.
 """
 
 from __future__ import annotations
 
-import hashlib
 import os
-from concurrent.futures import ProcessPoolExecutor
+import sys
 from contextlib import suppress
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from pathlib import Path
+from typing import NamedTuple
 
-from .characters import compute_column, zero_counts
+from .characters import _build_move_tables, compute_column, zero_counts
 from .cores import count_k_cores, is_k_core
 from .padic import (
     PowerBlockWitness,
@@ -47,8 +51,17 @@ CACHE_VERSION = 2
 _CACHE_MAGIC = "snchar-census"
 
 
-@dataclass(frozen=True)
-class ColumnDivisibilityRecord:
+def __getattr__(name: str):
+    # census.ProcessPoolExecutor, imported on first use; _trie_census reads
+    # it as a module attribute, so it can be replaced from outside.
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+class ColumnDivisibilityRecord(NamedTuple):
     """Divisibility statistics of one character-table column mod p.
 
     regular_label is the p-regular partition classifying the column's fiber;
@@ -72,8 +85,7 @@ class ColumnDivisibilityRecord:
     core_floor: int
 
 
-@dataclass(frozen=True)
-class CensusRecord:
+class CensusRecord(NamedTuple):
     """Whole-table divisibility count for one (n, p)."""
 
     n: int
@@ -83,8 +95,7 @@ class CensusRecord:
     ratio: Fraction
 
 
-@dataclass(frozen=True)
-class FiberColumnSummary:
+class FiberColumnSummary(NamedTuple):
     """Zero count of the column shared by one label's whole fiber."""
 
     label: Partition
@@ -92,16 +103,14 @@ class FiberColumnSummary:
     zero_count: int
 
 
-@dataclass(frozen=True)
-class CensusResult:
+class CensusResult(NamedTuple):
     record: CensusRecord
     columns: tuple[FiberColumnSummary, ...]
     cache_hits: int
     cache_misses: int
 
 
-@dataclass(frozen=True)
-class FiberCongruenceReport:
+class FiberCongruenceReport(NamedTuple):
     """Outcome of comparing all mod-p columns across one fiber.
 
     Columns in one fiber are always congruent, so a mismatch (the first
@@ -116,8 +125,7 @@ class FiberCongruenceReport:
     mismatch: tuple[Partition, Partition, Partition] | None
 
 
-@dataclass(frozen=True)
-class CoreVanishReport:
+class CoreVanishReport(NamedTuple):
     """Exact zero check of k-core rows on classes whose largest part is k."""
 
     n: int
@@ -147,6 +155,8 @@ class ColumnVersionError(ColumnCacheError):
 
 def _checksum(body: str) -> str:
     # 64-bit content checksum, stored as 16 hex digits.
+    import hashlib  # loads OpenSSL: only runs that use a store pay for it
+
     return hashlib.sha256(body.encode("ascii")).hexdigest()[:16]
 
 
@@ -192,7 +202,12 @@ class ColumnStore:
 
     def load(self, n: int, p: int) -> tuple[int, ...]:
         path = self.path_for(n, p)
-        text = path.read_text(encoding="ascii")  # missing file -> FileNotFoundError
+        try:
+            text = path.read_text(encoding="ascii")
+        except FileNotFoundError:
+            raise  # nothing stored yet: the census computes the counts
+        except OSError as exc:  # a directory in its place, no permission, ...
+            raise ColumnCacheError(f"cannot read {path}: {exc}") from exc
         body, _, checksum = text.rstrip("\n").rpartition("\nchecksum=")
         lines = body.splitlines()
         try:
@@ -327,31 +342,37 @@ def check_core_vanishing(n: int, k: int) -> CoreVanishReport:
 
 
 def _trie_census(n: int, p: int, labels: list[Partition], jobs: int) -> tuple[int, ...]:
-    # Zero counts in label order.  The trie is split at its first level,
-    # (smallest part, its multiplicity), and workers take whole branches,
-    # largest first.
+    # Zero counts in label order, from a trie walk over the labels' digit
+    # representatives: a representative's column is congruent to its
+    # label's, and it has the fewest parts in the fiber.  The move tables
+    # are built first, so forked workers inherit them.  The trie is split at
+    # its first level, (smallest part, its multiplicity), and workers take
+    # whole branches, largest first.
+    representatives = [digit_representative(lam, p) for lam in labels]
+    _build_move_tables([rep[::-1] for rep in representatives])
     by_key: dict[tuple, list[Partition]] = {}
-    for lam in labels:
-        by_key.setdefault((lam[-1], lam.count(lam[-1])) if lam else (), []).append(lam)
+    for rep in representatives:
+        by_key.setdefault((rep[-1], rep.count(rep[-1])) if rep else (), []).append(rep)
     branches = sorted(by_key.values(), key=len, reverse=True)
     workers = min(jobs, len(branches), os.cpu_count() or 1)
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with sys.modules[__name__].ProcessPoolExecutor(max_workers=workers) as pool:
             computed = list(pool.map(zero_counts, repeat(n), branches, repeat(p)))
     else:
         computed = list(map(zero_counts, repeat(n), branches, repeat(p)))
-    by_label = {}
+    by_representative = {}
     for branch, counts in zip(branches, computed):
-        by_label.update(zip(branch, counts))
-    return tuple(by_label[lam] for lam in labels)
+        by_representative.update(zip(branch, counts))
+    return tuple(by_representative[rep] for rep in representatives)
 
 
 def table_census(n: int, p: int, jobs: int = 1, cache_dir=None) -> CensusResult:
     """Count the entries of the full character table of degree n divisible by p.
 
     Takes the zero count mod p of one column per p-regular label (from the
-    store under cache_dir, else by a trie walk, optionally in parallel) and
-    weights it by the label's fiber size.  Output is canonicalized after the
+    store under cache_dir, else by a trie walk over the labels' digit
+    representatives, optionally in parallel) and weights it by the label's
+    fiber size.  Output is canonicalized after the
     parallel phase, so repeated runs and different job counts give identical
     results.  The pool gets at most one worker per trie branch and per CPU.
     """

@@ -16,12 +16,18 @@ any order of the parts, and it runs here in two directions:
 - forward, for a whole column (compute_column): starting from the empty
   partition, a rim hook is added for each part of mu, smallest first, on
   n-bead masks (a bead x moves to a vacant x + t, and the leg is the number
-  of beads it jumps).  One pass reaches every row; entries that cancel, mod
-  p if a modulus is set, are dropped after each part, so the rows left at
-  the end are exactly the nonzero ones.
+  of beads it jumps; _add_hooks).  One pass reaches every row; entries that
+  cancel, mod p if a modulus is set, are dropped after each part, so the
+  rows left at the end are exactly the nonzero ones.
 - forward over many classes, for zero counts mod p only (zero_counts): the
-  same step, walked depth first over a trie of the classes' ascending parts,
-  so classes that share their smallest parts share that work.
+  classes' ascending parts form a trie, walked depth first, so classes that
+  share their smallest parts share that work.  A stage's vector has one
+  entry per partition of m, the parts added so far, indexed by its rank in
+  enumerate_partitions(m), and it steps through a move table cached per
+  (m, t) for the life of the process: for each source rank, the target
+  ranks reached with sign + and with sign -.  Each table row is _add_hooks
+  on that one source, so the bead-move and leg-sign rule lives in one
+  function.
 
 The two directions share no code; the tests check each against the other.
 """
@@ -29,9 +35,9 @@ The two directions share no code; the tests check each against the other.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from itertools import repeat
+from itertools import compress, repeat
+from typing import NamedTuple
 
 from .cores import _rim_hook_options
 from .padic import is_prime
@@ -46,10 +52,13 @@ class MemoCache:
 
     Backward (_mn_eval): table maps (partition, parts consumed) to a value,
     scoped to one class partition; a miss is a state evaluated, a hit a
-    lookup answered from the table.  Forward (compute_column, zero_counts):
-    after each part, misses grow by the distinct states reached and hits by
-    the moves that merged into a state already reached; table ends as the
-    last vector built, the nonzero rows keyed by bead mask.
+    lookup answered from the table.  Forward (compute_column, and the rows
+    of zero_counts' move tables): after each part, misses grow by the
+    distinct states reached and hits by the moves that merged into a state
+    already reached; table ends as the last vector built, the nonzero rows
+    keyed by bead mask.  zero_counts' walk: after each part, misses grow by
+    the nonzero rows kept and hits by the other moves; table ends as the
+    last vector, one entry per row.
     """
 
     __slots__ = ("table", "hits", "misses")
@@ -92,8 +101,7 @@ def _mn_eval(alpha: tuple, beta: tuple, modulus: int | None, cache: MemoCache | 
         del rec
 
 
-@dataclass(frozen=True)
-class CharColumn:
+class CharColumn(NamedTuple):
     """All character values on one conjugacy class.
 
     values holds one entry per partition of n, in enumerate_partitions(n)
@@ -152,31 +160,91 @@ def zero_counts(n: int, labels, p: int) -> tuple[int, ...]:
     """Zero count mod a prime p of the column of each class in labels, all
     partitions of n, in the order given.
 
-    Written with ascending parts, the labels form a trie, walked depth first:
-    each node adds one rim hook to its parent's vector (compute_column's
-    step), and only the vectors on the current path are alive.  A leaf's
-    zero count is p(n) minus the rows its vector still holds.
+    Written with ascending parts, the labels form a trie, walked depth first,
+    and only the vectors on the current path are alive.  The vector after
+    parts summing to m has one entry per partition of m, in
+    enumerate_partitions(m) order; a node adds one rim hook of length t to
+    its parent's vector through the cached move table of (m, t), then
+    reduces mod p.  A leaf's zero count is the zeros of its vector.
     """
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p!r}")
     if any(Partition(lam).n != n for lam in labels):
         raise ValueError(f"every class must be a partition of {n}")
-    total = partition_count(n)
+    classes = sorted({tuple(lam)[::-1] for lam in labels})
+    _build_move_tables(classes)
     cache = MemoCache()
-    path = [{(1 << n) - 1: 1}]  # path[i]: the vector after the i smallest parts
+    path = [[1]]  # path[i]: the vector after the i smallest parts
+    sums = [0]  # sums[i]: the size of those parts
     previous: tuple = ()
     counts = {}
-    for parts in sorted({lam[::-1] for lam in labels}):
+    for parts in classes:
         shared = 0
         while shared < min(len(parts), len(previous)) and parts[shared] == previous[shared]:
             shared += 1
-        del path[shared + 1:]
+        del path[shared + 1:], sums[shared + 1:]
         for t in parts[shared:]:
-            path.append(_add_hooks(path[-1], t, p, cache))
-        counts[parts] = total - len(path[-1])
+            m = sums[-1]
+            path.append(_table_step(path[-1], _MOVE_TABLES[m, t], partition_count(m + t), p, cache))
+            sums.append(m + t)
+        counts[parts] = path[-1].count(0)
         previous = parts
     cache.table = path[-1]
-    return tuple(counts[lam[::-1]] for lam in labels)
+    return tuple(counts[tuple(lam)[::-1]] for lam in labels)
+
+
+# (m, t) -> (plus, minus): for the partition of rank r of m, plus[r] and
+# minus[r] are the ranks of the partitions of m + t that adding a rim hook of
+# length t reaches with sign + and sign -.  Tables do not depend on n, so the
+# cache serves every census of the process; pool workers forked after
+# _build_move_tables inherit it.
+_MOVE_TABLES: dict[tuple[int, int], tuple[list, list]] = {}
+
+
+def _build_move_tables(classes) -> None:
+    """Cache the move table of every stage that the trie of classes, given
+    as ascending part tuples, steps through."""
+    wanted: dict[int, set[int]] = {}  # m + t -> the m to build tables from
+    for parts in classes:
+        m = 0
+        for t in parts:
+            if (m, t) not in _MOVE_TABLES:
+                wanted.setdefault(m + t, set()).add(m)
+            m += t
+    cache = MemoCache()
+    for k in sorted(wanted):
+        rank = {mask: r for r, mask in enumerate(_row_masks(k))}
+        for m in sorted(wanted[k]):
+            # A partition of k has at most k parts, so k beads hold every
+            # source and target: a source's k-bead mask is its m-bead mask
+            # shifted past t more beads.
+            t = k - m
+            fill = (1 << t) - 1
+            plus, minus = [], []
+            for mask in _row_masks(m):
+                reached = _add_hooks({(mask << t) | fill: 1}, t, None, cache)
+                plus.append(tuple(rank[key] for key, v in reached.items() if v > 0))
+                minus.append(tuple(rank[key] for key, v in reached.items() if v < 0))
+            _MOVE_TABLES[m, t] = (plus, minus)
+
+
+def _table_step(vector: list, table: tuple, size: int, p: int, cache: MemoCache) -> list:
+    # One trie node: add v at each + target of a nonzero source of value v
+    # and -v = p - v at each - target, then reduce mod p.
+    plus, minus = table
+    out = [0] * size
+    for r, v in enumerate(vector):
+        if v:
+            for d in plus[r]:
+                out[d] += v
+            v = p - v
+            for d in minus[r]:
+                out[d] += v
+    out = [x % p for x in out]
+    kept = size - out.count(0)
+    cache.misses += kept
+    cache.hits += sum(map(len, compress(plus, vector))) + sum(map(len, compress(minus, vector))) - kept
+    return out
 
 
 def _add_hooks(states: dict, t: int, modulus: int | None, cache: MemoCache) -> dict:
@@ -203,8 +271,12 @@ def _add_hooks(states: dict, t: int, modulus: int | None, cache: MemoCache) -> d
 
 @lru_cache(maxsize=8)
 def _row_masks(n: int) -> tuple[int, ...]:
-    # The n-bead mask of each partition of n, in enumerate_partitions(n) order.
-    return tuple(_beta_mask(alpha + (0,) * (n - len(alpha))) for alpha in enumerate_partitions(n))
+    # The n-bead mask of each partition of n, in enumerate_partitions(n) order:
+    # the beads of its parts, shifted past one bead per zero part.
+    return tuple(
+        (_beta_mask(alpha) << (n - len(alpha))) | ((1 << (n - len(alpha))) - 1)
+        for alpha in enumerate_partitions(n)
+    )
 
 
 def dimension(alpha) -> int:

@@ -10,9 +10,8 @@ iff it has one of length exactly k.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .partitions import (
     Partition,
@@ -25,8 +24,7 @@ from .partitions import (
 COMPONENT_SEP = "|"
 
 
-@dataclass(frozen=True)
-class CoreResult:
+class CoreResult(NamedTuple):
     """Outcome of stripping all hooks of length k: the core and the number stripped."""
 
     core: Partition
@@ -34,17 +32,18 @@ class CoreResult:
     k: int
 
 
-@dataclass(frozen=True)
-class Multipartition:
-    """An ordered tuple of partitions; serializes as '|'-joined parts, e.g. "2,1|-|3"."""
-
+class _MultipartitionFields(NamedTuple):
     components: tuple[Partition, ...]
 
-    def __post_init__(self):
-        coerced = tuple(
-            c if isinstance(c, Partition) else Partition(c) for c in self.components
-        )
-        object.__setattr__(self, "components", coerced)
+
+class Multipartition(_MultipartitionFields):
+    """An ordered tuple of partitions; serializes as '|'-joined parts, e.g. "2,1|-|3"."""
+
+    __slots__ = ()
+
+    def __new__(cls, components):
+        coerced = tuple(c if isinstance(c, Partition) else Partition(c) for c in components)
+        return super().__new__(cls, coerced)
 
     @property
     def k(self) -> int:

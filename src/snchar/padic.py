@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, NamedTuple, Optional
 
@@ -183,23 +182,27 @@ def digit_representative(lam, p: int) -> Partition:
     return Partition._unchecked(tuple(parts))
 
 
-@dataclass(frozen=True)
-class ThresholdParams:
+class _ThresholdFields(NamedTuple):
+    p: int
+    c: float
+    n: int
+
+
+class ThresholdParams(_ThresholdFields):
     """Scale parameters (p, c, n) for the threshold c * sqrt(n) * ln(n).
 
     log means the natural logarithm throughout.  c must strictly exceed
     sqrt(3/2)/pi, the floor below which the threshold regime is vacuous.
     """
 
-    p: int
-    c: float
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        _require_prime(self.p)
-        _require_scale(self.c)
-        if self.n < 1:
+    def __new__(cls, p: int, c: float, n: int):
+        _require_prime(p)
+        _require_scale(c)
+        if n < 1:
             raise ValueError("n must be positive")
+        return super().__new__(cls, p, c, n)
 
     @property
     def threshold(self) -> float:

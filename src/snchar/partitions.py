@@ -21,7 +21,10 @@ class Partition(tuple):
     The empty partition is the unique partition of 0.  Instances are
     immutable and compare/hash exactly like plain tuples, so canonical
     (reverse-lexicographic) order is ordinary descending tuple order.
+    Instances hold nothing beyond the tuple itself (no per-instance dict).
     """
+
+    __slots__ = ()
 
     def __new__(cls, parts=()):
         parts = tuple(parts)
@@ -30,21 +33,17 @@ class Partition(tuple):
                 raise ValueError(f"parts must be positive integers, got {a!r}")
             if i and parts[i - 1] < a:
                 raise ValueError(f"parts must be weakly decreasing, got {parts}")
-        self = tuple.__new__(cls, parts)
-        self._n = sum(parts)
-        return self
+        return tuple.__new__(cls, parts)
 
     @classmethod
     def _unchecked(cls, parts: tuple) -> "Partition":
         # Fast path for internally produced, already-canonical tuples.
-        self = tuple.__new__(cls, parts)
-        self._n = sum(parts)
-        return self
+        return tuple.__new__(cls, parts)
 
     @property
     def n(self) -> int:
         """Sum of the parts."""
-        return self._n
+        return sum(self)
 
     @classmethod
     def from_text(cls, text: str) -> "Partition":
@@ -104,8 +103,7 @@ def enumerate_partitions(n: int) -> Iterator[Partition]:
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    for parts in _iter_partition_tuples(n):
-        yield Partition._unchecked(parts)
+    yield from map(Partition._unchecked, _iter_partition_tuples(n))
 
 
 def _iter_partition_tuples(n: int) -> Iterator[tuple]:

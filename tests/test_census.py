@@ -16,7 +16,7 @@ from snchar.census import (
     table_census,
     threshold_experiment,
 )
-from snchar.characters import compute_column, mn_character
+from snchar.characters import compute_column, mn_character, zero_counts
 from snchar.cores import count_k_cores
 from snchar.padic import digit_representative, p_regular_partitions
 from snchar.partitions import Partition
@@ -169,6 +169,16 @@ def test_census_zero_counts_match_backward_recursion():
                 assert col.zero_count == zeros, (n, p, col.label)
 
 
+def test_census_representative_walk_matches_label_walk():
+    # the census walks the labels' digit representatives and relies on fiber
+    # congruence; walking the labels themselves must give the same counts
+    for n in range(21):
+        for p in (2, 3, 5):
+            columns = table_census(n, p).columns
+            labels = [col.label for col in columns]
+            assert tuple(col.zero_count for col in columns) == zero_counts(n, labels, p), (n, p)
+
+
 def test_census_parallel_matches_serial():
     serial = table_census(12, 2, jobs=1)
     parallel = table_census(12, 2, jobs=2)
@@ -284,11 +294,14 @@ def test_census_jobs_clamped_to_pending_and_cpus(monkeypatch):
 
     monkeypatch.setattr(census, "ProcessPoolExecutor", SerialPool)
     serial = table_census(6, 2)
-    # first trie level, (smallest part, its multiplicity), of the odd-part
-    # labels of 6: (5,1), (3,3), (3,1,1,1) and (1^6) give 4 branches
-    branches = len({(col.label[-1], col.label.count(col.label[-1])) for col in serial.columns})
-    assert branches == 4
-    for cpus, jobs, expected in ((64, 64, [branches]), (3, 64, [3]), (64, 2, [2]), (1, 64, [])):
+    # first trie level, (smallest part, its multiplicity), of the digit
+    # representatives of the odd-part labels of 6: (5,1), (6), (3,2,1) and
+    # (4,2) give 3 branches
+    representatives = [digit_representative(col.label, 2) for col in serial.columns]
+    assert representatives == [P(5, 1), P(6), P(3, 2, 1), P(4, 2)]
+    branches = len({(rep[-1], rep.count(rep[-1])) for rep in representatives})
+    assert branches == 3
+    for cpus, jobs, expected in ((64, 64, [branches]), (2, 64, [2]), (64, 2, [2]), (1, 64, [])):
         sizes.clear()
         monkeypatch.setattr(census.os, "cpu_count", lambda: cpus)
         assert table_census(6, 2, jobs=jobs) == serial

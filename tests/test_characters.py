@@ -243,6 +243,17 @@ def test_zero_counts_any_classes_in_given_order():
             assert zero_counts(n, classes, p) == expected
 
 
+def test_zero_counts_move_tables_match_mask_step_on_random_pairs():
+    # zero_counts steps through rank-indexed move tables; compute_column adds
+    # the same hooks on bead masks
+    rng = random.Random(2019)
+    for _ in range(200):
+        n = rng.randint(14, 24)
+        mu = rng.choice(partitions_of(n))
+        p = rng.choice((2, 3, 5))
+        assert zero_counts(n, [mu], p) == (compute_column(n, mu, p).zero_count(),), (mu, p)
+
+
 def test_zero_counts_validation():
     with pytest.raises(ValueError):
         zero_counts(4, [(3, 1)], 4)

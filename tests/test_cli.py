@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from snchar.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -237,6 +243,35 @@ def test_census_cache_dir_that_cannot_be_a_directory_exits_2(tmp_path, capsys, t
     assert code == 2
     assert out == ""
     assert err.startswith("invalid input: ")
+
+
+def test_census_store_path_that_is_a_directory_exits_2(tmp_path, capsys):
+    (tmp_path / "census_n6_p2.txt").mkdir()
+    code, out, err = run(capsys, "census", "--n", "6", "--p", "2",
+                         "--cache-dir", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("invalid input: ")
+
+
+def _bare_python(code: str) -> subprocess.CompletedProcess:
+    # a fresh interpreter without site-packages that imports snchar from src/
+    return subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120, check=True)
+
+
+def test_cli_import_loads_no_pool_store_or_dataclass_modules():
+    # each costs every process start-up time; they load on first use
+    heavy = ("concurrent.futures", "multiprocessing", "hashlib", "dataclasses")
+    result = _bare_python(f"import sys, snchar.cli; print([m for m in {heavy!r} if m in sys.modules])")
+    assert result.stdout == "[]\n"
+    census = "import sys, snchar.cli; snchar.cli.main(['census', '--n', '6', '--p', '2'{}]); " \
+             "print('concurrent.futures' in sys.modules, file=sys.stderr)"
+    serial = _bare_python(census.format(""))
+    pooled = _bare_python(census.format(", '--jobs', '2'"))
+    assert pooled.stdout == serial.stdout
+    assert serial.stderr.endswith("False\n")
+    assert pooled.stderr.endswith("True\n") or os.cpu_count() == 1
 
 
 @pytest.mark.parametrize(
