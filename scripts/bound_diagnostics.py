@@ -14,20 +14,12 @@ Two CSV blocks are written to separate files:
 import argparse
 import csv
 import sys
-from dataclasses import dataclass
 
 from snchar.bounds import core_density_report, growth_envelope_report
 from snchar.census import DEFAULT_C
 
 
-@dataclass(frozen=True)
-class DiagnosticsConfig:
-    max_m: int
-    decay_n: tuple[int, ...]
-    out_prefix: str | None
-
-
-def parse_config(argv=None) -> DiagnosticsConfig:
+def parse_args(argv=None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-m", type=int, default=200)
     parser.add_argument("--decay-n", type=int, nargs="*", default=[40, 60])
@@ -36,42 +28,42 @@ def parse_config(argv=None) -> DiagnosticsConfig:
     args = parser.parse_args(argv)
     if any(n < 2 for n in args.decay_n):
         parser.error(f"--decay-n values must be at least 2, got {args.decay_n}")
-    return DiagnosticsConfig(args.max_m, tuple(args.decay_n), args.out_prefix)
+    return args
 
 
-def write_envelope(config: DiagnosticsConfig, stream) -> None:
+def write_envelope(args: argparse.Namespace, stream) -> None:
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(["m", "count", "ratio"])
     ratios = []
-    for m in range(1, config.max_m + 1):
+    for m in range(1, args.max_m + 1):
         report = growth_envelope_report(m)
         ratios.append(report.ratio)
         writer.writerow([report.m, report.count, f"{report.ratio:.12g}"])
     print(
-        f"envelope over m <= {config.max_m}: min={min(ratios):.6f} max={max(ratios):.6f}",
+        f"envelope over m <= {args.max_m}: min={min(ratios):.6f} max={max(ratios):.6f}",
         file=sys.stderr,
     )
 
 
-def write_decay(config: DiagnosticsConfig, stream) -> None:
+def write_decay(args: argparse.Namespace, stream) -> None:
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(["n", "k", "ratio_float"])
-    for n in config.decay_n:
+    for n in args.decay_n:
         for k in range(1, n + 1):
             ratio = core_density_report(n, k, DEFAULT_C).rhs
             writer.writerow([n, k, f"{float(ratio):.12g}"])
 
 
 def main(argv=None) -> int:
-    config = parse_config(argv)
-    if config.out_prefix:
-        with open(f"{config.out_prefix}_envelope.csv", "w", newline="") as handle:
-            write_envelope(config, handle)
-        with open(f"{config.out_prefix}_decay.csv", "w", newline="") as handle:
-            write_decay(config, handle)
+    args = parse_args(argv)
+    if args.out_prefix:
+        with open(f"{args.out_prefix}_envelope.csv", "w", newline="") as handle:
+            write_envelope(args, handle)
+        with open(f"{args.out_prefix}_decay.csv", "w", newline="") as handle:
+            write_decay(args, handle)
     else:
-        write_envelope(config, sys.stdout)
-        write_decay(config, sys.stdout)
+        write_envelope(args, sys.stdout)
+        write_decay(args, sys.stdout)
     return 0
 
 

@@ -11,23 +11,12 @@ import argparse
 import csv
 import sys
 import time
-from dataclasses import dataclass
 
 from snchar.census import table_census
 from snchar.padic import is_prime
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    p: int
-    min_n: int
-    max_n: int
-    jobs: int
-    cache_dir: str | None
-    out: str | None
-
-
-def parse_config(argv=None) -> SweepConfig:
+def parse_args(argv=None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--p", type=int, default=2)
     parser.add_argument("--min-n", type=int, default=1)
@@ -42,20 +31,20 @@ def parse_config(argv=None) -> SweepConfig:
         parser.error(f"--jobs must be at least 1, got {args.jobs}")
     if not 0 <= args.min_n <= args.max_n:
         parser.error(f"need 0 <= --min-n <= --max-n, got {args.min_n} and {args.max_n}")
-    return SweepConfig(args.p, args.min_n, args.max_n, args.jobs, args.cache_dir, args.out)
+    return args
 
 
-def run(config: SweepConfig, stream) -> None:
+def run(args: argparse.Namespace, stream) -> None:
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(["n", "p", "divisible", "table_size", "ratio", "ratio_float", "seconds"])
-    for n in range(config.min_n, config.max_n + 1):
+    for n in range(args.min_n, args.max_n + 1):
         start = time.monotonic()
-        record = table_census(n, config.p, jobs=config.jobs, cache_dir=config.cache_dir).record
+        record = table_census(n, args.p, jobs=args.jobs, cache_dir=args.cache_dir).record
         elapsed = time.monotonic() - start
         writer.writerow(
             [
                 n,
-                config.p,
+                args.p,
                 record.divisible_count,
                 record.table_size,
                 f"{record.ratio.numerator}/{record.ratio.denominator}",
@@ -67,12 +56,12 @@ def run(config: SweepConfig, stream) -> None:
 
 
 def main(argv=None) -> int:
-    config = parse_config(argv)
-    if config.out:
-        with open(config.out, "w", newline="") as handle:
-            run(config, handle)
+    args = parse_args(argv)
+    if args.out:
+        with open(args.out, "w", newline="") as handle:
+            run(args, handle)
     else:
-        run(config, sys.stdout)
+        run(args, sys.stdout)
     return 0
 
 

@@ -13,10 +13,9 @@ from .bounds import (
 from .census import (
     CensusRecord,
     CensusResult,
-    ColumnChecksumError,
+    ColumnCacheError,
     ColumnDivisibilityRecord,
     ColumnStore,
-    ColumnVersionError,
     CoreVanishReport,
     FiberCongruenceReport,
     check_core_vanishing,
@@ -25,24 +24,13 @@ from .census import (
     table_census,
     threshold_experiment,
 )
-from .characters import (
-    CharColumn,
-    MemoCache,
-    compute_column,
-    dimension,
-    mn_character,
-)
+from .characters import CharColumn, compute_column
 from .cores import (
     CoreResult,
-    Multipartition,
     count_k_cores,
-    enumerate_multipartitions,
-    from_core_and_quotient,
     is_k_core,
     k_core,
-    k_quotient,
     multipartition_count,
-    node_addition_cover,
     random_greedy_core,
     remove_rim_hook,
 )
@@ -61,14 +49,8 @@ from .padic import (
     power_block_witness,
 )
 from .partitions import (
-    BetaSet,
     Partition,
-    centralizer_order,
-    conjugate,
     enumerate_partitions,
     exponent_form,
-    from_beta_set,
-    hook_lengths,
     partition_count,
-    to_beta_set,
 )

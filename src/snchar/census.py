@@ -141,16 +141,9 @@ class CoreVanishReport(NamedTuple):
 
 
 class ColumnCacheError(Exception):
-    """Base class for census-store failures."""
-
-
-class ColumnChecksumError(ColumnCacheError):
-    """A stored census file fails its checksum or does not hold the key,
-    labels or counts asked for."""
-
-
-class ColumnVersionError(ColumnCacheError):
-    """A stored census file uses an unsupported format version."""
+    """A census store that cannot be used: its directory cannot be made, or a
+    stored file cannot be read, has an unsupported version, fails its
+    checksum or does not hold the key, labels or counts asked for."""
 
 
 def _checksum(body: str) -> str:
@@ -206,7 +199,7 @@ class ColumnStore:
             text = path.read_text(encoding="ascii")
         except FileNotFoundError:
             raise  # nothing stored yet: the census computes the counts
-        except OSError as exc:  # a directory in its place, no permission, ...
+        except (OSError, UnicodeDecodeError) as exc:  # a directory, no permission, not ASCII
             raise ColumnCacheError(f"cannot read {path}: {exc}") from exc
         body, _, checksum = text.rstrip("\n").rpartition("\nchecksum=")
         lines = body.splitlines()
@@ -214,26 +207,26 @@ class ColumnStore:
             magic, version_text = lines[0].rsplit(" ", 1)
             fields = dict(line.split("=", 1) for line in lines[1:])
         except (IndexError, ValueError) as exc:
-            raise ColumnChecksumError(f"{path} is not a census file") from exc
+            raise ColumnCacheError(f"{path} is not a census file") from exc
         if magic != _CACHE_MAGIC or version_text != str(CACHE_VERSION):
-            raise ColumnVersionError(f"{path} has unsupported header {lines[0]!r}")
+            raise ColumnCacheError(f"{path} has unsupported header {lines[0]!r}")
         if checksum != _checksum(body):
-            raise ColumnChecksumError(f"{path} failed its checksum")
+            raise ColumnCacheError(f"{path} failed its checksum")
         try:
             key = (int(fields["n"]), int(fields["p"]))
             labels_text = fields["labels"]
             counts = tuple(int(v) for v in fields["values"].split(","))
         except (KeyError, ValueError) as exc:
-            raise ColumnChecksumError(f"{path} is not a census file") from exc
+            raise ColumnCacheError(f"{path} is not a census file") from exc
         if key != (n, p):
-            raise ColumnChecksumError(f"{path} holds n={key[0]} p={key[1]}, not n={n} p={p}")
+            raise ColumnCacheError(f"{path} holds n={key[0]} p={key[1]}, not n={n} p={p}")
         labels = _label_texts(n, p)
         if labels_text.split(";") != labels:
-            raise ColumnChecksumError(f"{path} does not list the {p}-regular partitions of {n}")
+            raise ColumnCacheError(f"{path} does not list the {p}-regular partitions of {n}")
         if len(counts) != len(labels):
-            raise ColumnChecksumError(f"{path} has {len(counts)} counts for {len(labels)} labels")
+            raise ColumnCacheError(f"{path} has {len(counts)} counts for {len(labels)} labels")
         if min(counts) < 0 or max(counts) > partition_count(n):
-            raise ColumnChecksumError(f"{path} has a count outside [0, p({n})]")
+            raise ColumnCacheError(f"{path} has a count outside [0, p({n})]")
         return counts
 
 

@@ -2,63 +2,56 @@
 and mod p.
 
 The value of the irreducible character indexed by alpha on the class with
-cycle parts beta expands over rim hooks:
+cycle parts mu expands over rim hooks:
 
-    chi(alpha, beta) = sum over rim hooks H of length beta_1 removable
-                       from alpha of (-1)**leg(H) * chi(alpha - H, beta')
+    chi(alpha, mu) = sum over rim hooks H of length t removable from alpha
+                     of (-1)**leg(H) * chi(alpha - H, mu minus the part t)
 
-where beta' drops the consumed part and chi((), ()) = 1.  The rule holds for
-any order of the parts, and it runs here in two directions:
+with chi((), ()) = 1.  The rule holds for any order of the parts, and it runs
+here forward, adding rim hooks instead of removing them:
 
-- backward, for one entry (mn_character): rim hooks are stripped from alpha,
-  largest part of beta first, memoized on (partition, parts consumed).  The
-  probe runs on beta-sets (a hook of length t is a bead x with x - t vacant).
-- forward, for a whole column (compute_column): starting from the empty
-  partition, a rim hook is added for each part of mu, smallest first, on
-  n-bead masks (a bead x moves to a vacant x + t, and the leg is the number
-  of beads it jumps; _add_hooks).  One pass reaches every row; entries that
-  cancel, mod p if a modulus is set, are dropped after each part, so the
-  rows left at the end are exactly the nonzero ones.
-- forward over many classes, for zero counts mod p only (zero_counts): the
-  classes' ascending parts form a trie, walked depth first, so classes that
-  share their smallest parts share that work.  A stage's vector has one
-  entry per partition of m, the parts added so far, indexed by its rank in
+- for a whole column (compute_column): starting from the empty partition, a
+  rim hook is added for each part of mu, smallest first, on n-bead masks (a
+  bead x moves to a vacant x + t, and the leg is the number of beads it
+  jumps; _add_hooks).  One pass reaches every row; entries that cancel, mod
+  p if a modulus is set, are dropped after each part, so the rows left at
+  the end are exactly the nonzero ones.
+- over many classes, for zero counts mod p only (zero_counts): the classes'
+  ascending parts form a trie, walked depth first, so classes that share
+  their smallest parts share that work.  A stage's vector has one entry per
+  partition of m, the parts added so far, indexed by its rank in
   enumerate_partitions(m), and it steps through a move table cached per
   (m, t) for the life of the process: for each source rank, the target
   ranks reached with sign + and with sign -.  Each table row is _add_hooks
   on that one source, so the bead-move and leg-sign rule lives in one
   function.
 
-The two directions share no code; the tests check each against the other.
+The backward recursion, which strips rim hooks one entry at a time, lives
+only in the tests, as the oracle both routes are checked against.
 """
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 from itertools import compress, repeat
 from typing import NamedTuple
 
-from .cores import _rim_hook_options
+# Bound only for the benchmark tracer's probe hook, which feeds cores.self_s.
+from .cores import _rim_hook_options  # noqa: F401
 from .padic import is_prime
-from .partitions import Partition, _beta_mask, enumerate_partitions, hook_lengths, partition_count
-
-_MISSING = object()
+from .partitions import Partition, _beta_mask, enumerate_partitions, partition_count
 
 
 class MemoCache:
-    """Memo table and counters of one evaluation; they never change results
-    and exist for instrumentation only.
+    """Counters of one forward evaluation; they never change results and
+    exist for instrumentation only.
 
-    Backward (_mn_eval): table maps (partition, parts consumed) to a value,
-    scoped to one class partition; a miss is a state evaluated, a hit a
-    lookup answered from the table.  Forward (compute_column, and the rows
-    of zero_counts' move tables): after each part, misses grow by the
-    distinct states reached and hits by the moves that merged into a state
-    already reached; table ends as the last vector built, the nonzero rows
-    keyed by bead mask.  zero_counts' walk: after each part, misses grow by
-    the nonzero rows kept and hits by the other moves; table ends as the
-    last vector, one entry per row.
+    compute_column, and the rows of zero_counts' move tables: after each
+    part, misses grow by the distinct states reached and hits by the moves
+    that merged into a state already reached; table ends as the last vector
+    built, the nonzero rows keyed by bead mask.  zero_counts' walk: after
+    each part, misses grow by the nonzero rows kept and hits by the other
+    moves; table ends as the last vector, one entry per row.
     """
 
     __slots__ = ("table", "hits", "misses")
@@ -67,38 +60,6 @@ class MemoCache:
         self.table: dict = {}
         self.hits = 0
         self.misses = 0
-
-
-def _mn_eval(alpha: tuple, beta: tuple, modulus: int | None, cache: MemoCache | None) -> int:
-    """Evaluate the rim-hook recursion; cache may be shared across alphas
-    (same beta) or None to disable memoization entirely."""
-
-    def rec(parts: tuple, stage: int) -> int:
-        if stage == len(beta):
-            return 1  # sizes track, so parts is () here
-        if cache is not None:
-            key = (parts, stage)
-            value = cache.table.get(key, _MISSING)
-            if value is not _MISSING:
-                cache.hits += 1
-                return value
-            cache.misses += 1
-        total = 0
-        for child, leg in _rim_hook_options(parts, beta[stage]):
-            v = rec(child, stage + 1)
-            total += -v if leg & 1 else v
-        if modulus is not None:
-            total %= modulus
-        if cache is not None:
-            cache.table[key] = total
-        return total
-
-    try:
-        return rec(alpha, 0)
-    finally:
-        # rec refers to itself; unbinding it frees the cache with its last
-        # user instead of leaving it to the next full cyclic collection.
-        del rec
 
 
 class CharColumn(NamedTuple):
@@ -115,19 +76,6 @@ class CharColumn(NamedTuple):
 
     def zero_count(self) -> int:
         return self.values.count(0)
-
-
-def mn_character(alpha, beta, p: int | None = None) -> int:
-    """Character value chi^alpha on the class with cycle parts beta: exact, or
-    reduced mod a prime p by running the recursion in modular arithmetic, so
-    large values never build big integers."""
-    if p is not None and not is_prime(p):
-        raise ValueError(f"p must be prime, got {p!r}")
-    alpha = Partition(alpha)
-    beta = Partition(beta)
-    if alpha.n != beta.n:
-        raise ValueError(f"|alpha| = {alpha.n} and |beta| = {beta.n} differ")
-    return _mn_eval(tuple(alpha), tuple(beta), p, MemoCache())
 
 
 def compute_column(n: int, mu, modulus: int | None = None) -> CharColumn:
@@ -277,14 +225,3 @@ def _row_masks(n: int) -> tuple[int, ...]:
         (_beta_mask(alpha) << (n - len(alpha))) | ((1 << (n - len(alpha))) - 1)
         for alpha in enumerate_partitions(n)
     )
-
-
-def dimension(alpha) -> int:
-    """Dimension of the irreducible indexed by alpha: n! over the product of
-    all hook lengths.  The division is asserted exact."""
-    alpha = Partition(alpha)
-    denom = math.prod(hook_lengths(alpha).values())
-    q, r = divmod(math.factorial(alpha.n), denom)
-    if r:
-        raise ArithmeticError(f"hook product does not divide {alpha.n}! for {alpha}")
-    return q

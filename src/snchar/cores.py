@@ -1,27 +1,23 @@
-"""k-hook removal, k-cores and k-quotients on the abacus, multipartition counts.
+"""Rim-hook removal and k-cores on the abacus, k-core counts by generating
+function, multipartition counts.
 
 The abacus picture drives everything: a partition becomes bead positions on k
 runners, removing a rim hook of length k slides one bead down its runner, and
 the k-core is the configuration with every bead pushed down.  A classical
 consequence used throughout: a partition has a hook of length divisible by k
-iff it has one of length exactly k.
+iff it has one of length exactly k.  The partitions of n with a given k-core
+and weight w are as many as the k-component multipartitions of w (one
+partition per runner, the k-quotient); the tests check that count, which is
+what the core fiber identity in snchar.bounds rests on.
 """
 
 from __future__ import annotations
 
 import random
 from functools import lru_cache
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
-from .partitions import (
-    Partition,
-    _beta_mask,
-    _parts_from_beads,
-    enumerate_partitions,
-    partition_count,
-)
-
-COMPONENT_SEP = "|"
+from .partitions import Partition, _beta_mask, _parts_from_beads, partition_count
 
 
 class CoreResult(NamedTuple):
@@ -30,38 +26,6 @@ class CoreResult(NamedTuple):
     core: Partition
     weight: int
     k: int
-
-
-class _MultipartitionFields(NamedTuple):
-    components: tuple[Partition, ...]
-
-
-class Multipartition(_MultipartitionFields):
-    """An ordered tuple of partitions; serializes as '|'-joined parts, e.g. "2,1|-|3"."""
-
-    __slots__ = ()
-
-    def __new__(cls, components):
-        coerced = tuple(c if isinstance(c, Partition) else Partition(c) for c in components)
-        return super().__new__(cls, coerced)
-
-    @property
-    def k(self) -> int:
-        return len(self.components)
-
-    @property
-    def total(self) -> int:
-        return sum(c.n for c in self.components)
-
-    def to_text(self) -> str:
-        return COMPONENT_SEP.join(c.to_text() for c in self.components)
-
-    @classmethod
-    def from_text(cls, text: str) -> "Multipartition":
-        return cls(tuple(Partition.from_text(tok) for tok in text.split(COMPONENT_SEP)))
-
-    def __str__(self) -> str:
-        return self.to_text()
 
 
 def _rim_hook_options(parts: tuple, length: int) -> list[tuple[tuple, int]]:
@@ -104,18 +68,6 @@ def remove_rim_hook(lam, hook_length: int) -> set[tuple[Partition, int]]:
     }
 
 
-def _normalized_runners(parts: tuple, k: int) -> tuple[list[list[int]], int]:
-    # Beta-set size normalized to the smallest positive multiple of k that is
-    # >= the number of parts; this pins the runner labelling, and the quotient
-    # is invariant under growing the size by further multiples of k.
-    r = -(-max(len(parts), 1) // k) * k
-    runners: list[list[int]] = [[] for _ in range(k)]
-    for i in range(r):
-        x = (parts[i] if i < len(parts) else 0) + r - 1 - i
-        runners[x % k].append(x // k)
-    return runners, r
-
-
 def k_core(lam, k: int) -> CoreResult:
     """Strip every hook of length divisible by k (abacus push-down).
 
@@ -125,63 +77,19 @@ def k_core(lam, k: int) -> CoreResult:
     if k < 1:
         raise ValueError("k must be positive")
     parts = tuple(lam)
-    runners, _ = _normalized_runners(parts, k)
+    r = len(parts)
+    runners: list[list[int]] = [[] for _ in range(k)]
+    for i, a in enumerate(parts):
+        x = a + r - 1 - i  # beads in decreasing order, so each runner's rows are too
+        runners[x % k].append(x // k)
     weight = 0
     beads = []
     for j, rows in enumerate(runners):
-        rows.sort()
-        for new_row, row in enumerate(rows):
+        for new_row, row in enumerate(reversed(rows)):
             weight += row - new_row
             beads.append(new_row * k + j)
     beads.sort(reverse=True)
     return CoreResult(Partition._unchecked(_parts_from_beads(tuple(beads))), weight, k)
-
-
-def k_quotient(lam, k: int) -> Multipartition:
-    """The k-tuple of partitions read off the k abacus runners.
-
-    Component j collects the bead rows of runner j; the pair (core, quotient)
-    determines the partition, and the quotient sizes sum to the core weight.
-    """
-    if k < 1:
-        raise ValueError("k must be positive")
-    parts = tuple(lam)
-    runners, _ = _normalized_runners(parts, k)
-    comps = []
-    for rows in runners:
-        rows.sort(reverse=True)
-        comps.append(Partition._unchecked(_parts_from_beads(tuple(rows))))
-    return Multipartition(tuple(comps))
-
-
-def from_core_and_quotient(core, quotient: Multipartition) -> Partition:
-    """Rebuild the partition with the given k-core and k-quotient.
-
-    Inverse of (k_core, k_quotient) under the runner convention used there.
-    """
-    comps = quotient.components
-    k = len(comps)
-    if k < 1:
-        raise ValueError("quotient must have at least one component")
-    core = Partition(core)
-    if not is_k_core(core, k):
-        raise ValueError(f"{core} is not a {k}-core")
-    # Enough rows per runner to hold every quotient component.
-    q = len(core) + max((len(c) for c in comps), default=0) + 1
-    r = k * q
-    core_parts = tuple(core)
-    runners: list[list[int]] = [[] for _ in range(k)]
-    for i in range(r):
-        x = (core_parts[i] if i < len(core_parts) else 0) + r - 1 - i
-        runners[x % k].append(x // k)
-    beads = []
-    for j, comp in enumerate(comps):
-        cj = len(runners[j])  # rows 0..cj-1, since the core is pushed down
-        beads.extend(
-            ((comp[t] if t < len(comp) else 0) + cj - 1 - t) * k + j for t in range(cj)
-        )
-    beads.sort(reverse=True)
-    return Partition._unchecked(_parts_from_beads(tuple(beads)))
 
 
 def is_k_core(lam, k: int) -> bool:
@@ -260,60 +168,6 @@ def _convolve(a: list[int], b: list[int], m: int) -> list[int]:
         if ai:
             for j in range(m + 1 - i):
                 out[i + j] += ai * b[j]
-    return out
-
-
-def enumerate_multipartitions(k: int, m: int) -> Iterator[Multipartition]:
-    """All k-component multipartitions of m, first-component size descending."""
-    if k < 1:
-        raise ValueError("k must be positive")
-    if m < 0:
-        raise ValueError("m must be non-negative")
-
-    def rec(idx: int, remaining: int):
-        if idx == k - 1:
-            for lam in enumerate_partitions(remaining):
-                yield (lam,)
-            return
-        for size in range(remaining, -1, -1):
-            for lam in enumerate_partitions(size):
-                for rest in rec(idx + 1, remaining - size):
-                    yield (lam, *rest)
-
-    for combo in rec(0, m):
-        yield Multipartition(combo)
-
-
-def node_addition_cover(mp: Multipartition) -> set[Multipartition]:
-    """The canonical at-most-(k+1) ways to grow a multipartition by one node.
-
-    With h the last nonempty component: add a node to component h at the end
-    of its last row (when that stays a partition) or at the bottom of its
-    first column, or put a first node into any later component.  The images
-    of all multipartitions of m cover every multipartition of m + 1, which is
-    what makes p_k(m+1) <= (k+1) p_k(m).
-    """
-    comps = mp.components
-    k = len(comps)
-    h = 0
-    for idx in range(k, 0, -1):
-        if comps[idx - 1].n > 0:
-            h = idx
-            break
-    out: set[Multipartition] = set()
-
-    def with_component(idx: int, new_parts: tuple) -> Multipartition:
-        return Multipartition(
-            comps[:idx] + (Partition._unchecked(new_parts),) + comps[idx + 1:]
-        )
-
-    if h:
-        parts = tuple(comps[h - 1])
-        if len(parts) == 1 or parts[-2] > parts[-1]:
-            out.add(with_component(h - 1, parts[:-1] + (parts[-1] + 1,)))
-        out.add(with_component(h - 1, parts + (1,)))
-    for idx in range(h, k):
-        out.add(with_component(idx, (1,)))
     return out
 
 

@@ -1,6 +1,10 @@
-"""Partition data model: enumeration, exact counting, hooks, and beta-sets.
+"""Partition data model: enumeration, exact counting, exponent form, and the
+bead encoding the abacus code runs on.
 
 Everything here is exact integer arithmetic; counting never touches floats.
+A partition with r parts lam_1 >= ... >= lam_r has the beads
+lam_i + r - i (_beta_mask packs them into a bitmask, _parts_from_beads
+decodes them back).
 Partitions serialize as comma-separated decreasing part lists ("4,1"), with
 "-" for the empty partition.  That textual form is the one used in CLI
 arguments, CSV cells, and cache keys.
@@ -8,7 +12,6 @@ arguments, CSV cells, and cache keys.
 
 from __future__ import annotations
 
-import math
 import threading
 from typing import Iterator
 
@@ -68,31 +71,6 @@ class Partition(tuple):
 
     def __reduce__(self):
         return (Partition, (tuple(self),))
-
-
-class BetaSet(tuple):
-    """Strictly decreasing tuple of distinct non-negative integers.
-
-    Encodes a partition as bead positions on a one-runner abacus: a set of
-    size r built from ``lam`` has entries ``lam[i] + (r - 1 - i)`` (missing
-    parts read as 0).
-    """
-
-    def __new__(cls, entries=()):
-        entries = tuple(entries)
-        for i, x in enumerate(entries):
-            if not isinstance(x, int) or isinstance(x, bool) or x < 0:
-                raise ValueError(f"entries must be non-negative integers, got {x!r}")
-            if i and entries[i - 1] <= x:
-                raise ValueError(f"entries must be strictly decreasing, got {entries}")
-        return tuple.__new__(cls, entries)
-
-    @property
-    def size(self) -> int:
-        return len(self)
-
-    def __repr__(self) -> str:
-        return f"BetaSet({tuple(self)!r})"
 
 
 def enumerate_partitions(n: int) -> Iterator[Partition]:
@@ -162,30 +140,6 @@ def partition_count(n: int) -> int:
     return _count_memo[n]
 
 
-def conjugate(lam) -> Partition:
-    """Transpose of the Young diagram; an involution."""
-    parts = tuple(lam)
-    if not parts:
-        return Partition._unchecked(())
-    cols = tuple(sum(1 for a in parts if a > j) for j in range(parts[0]))
-    return Partition._unchecked(cols)
-
-
-def hook_lengths(lam) -> dict[tuple[int, int], int]:
-    """Hook length of every cell, keyed by 1-based (row, column).
-
-    The hook of a cell is itself plus the cells to its right and below, so
-    the entry at (i, j) is arm + leg + 1; there are exactly |lam| entries.
-    """
-    parts = tuple(lam)
-    conj = tuple(conjugate(lam))
-    out = {}
-    for i, row_len in enumerate(parts, start=1):
-        for j in range(1, row_len + 1):
-            out[(i, j)] = (row_len - j) + (conj[j - 1] - i) + 1
-    return out
-
-
 def exponent_form(lam) -> tuple[tuple[int, int], ...]:
     """Distinct parts with multiplicities, largest part first: ((a_1, b_1), ...)."""
     out: list[tuple[int, int]] = []
@@ -195,39 +149,6 @@ def exponent_form(lam) -> tuple[tuple[int, int], ...]:
         else:
             out.append((a, 1))
     return tuple(out)
-
-
-def centralizer_order(mu) -> int:
-    """Order of the centralizer of a permutation with cycle type mu.
-
-    Equals prod_i i**m_i * m_i! over part values i with multiplicity m_i;
-    the class of cycle type mu therefore has n!/centralizer_order(mu)
-    elements.
-    """
-    z = 1
-    for part, mult in exponent_form(mu):
-        z *= part ** mult * math.factorial(mult)
-    return z
-
-
-def to_beta_set(lam, size: int) -> BetaSet:
-    """Beta-set of the given size; requires size >= number of parts."""
-    parts = tuple(lam)
-    if size < len(parts):
-        raise ValueError(
-            f"beta-set size {size} is smaller than the number of parts {len(parts)}"
-        )
-    entries = tuple(
-        (parts[i] if i < len(parts) else 0) + size - 1 - i for i in range(size)
-    )
-    return BetaSet(entries)
-
-
-def from_beta_set(beta) -> Partition:
-    """Decode a beta-set back to its partition, stripping trailing zero parts."""
-    if not isinstance(beta, BetaSet):
-        beta = BetaSet(beta)
-    return Partition._unchecked(_parts_from_beads(tuple(beta)))
 
 
 def _parts_from_beads(beads_desc: tuple) -> tuple:

@@ -1,14 +1,20 @@
 """Independent brute-force oracles the package is checked against.
 
 Each oracle recomputes a quantity by a different route than the package:
-recursive enumeration instead of the pentagonal recurrence, direct arm/leg
-cell counts instead of beta-sets, permutation counting instead of the
-centralizer formula, border-strip construction on the diagram instead of the
-abacus, partition enumeration instead of the k-core generating function.
-They stay independent of the code paths they validate.
+recursive enumeration instead of the pentagonal recurrence, border-strip
+construction on the diagram instead of the abacus, partition enumeration
+instead of the k-core generating function, and the backward Murnaghan-Nakayama
+recursion (mn_character), which strips border strips one entry at a time,
+instead of the package's forward rim-hook addition over whole columns.
+dimension (the hook-length formula on direct arm/leg counts) and
+centralizer_order (the product formula, itself checked against permutation
+counting) give the values the columns must reproduce.  Nothing here imports
+snchar, so no fast path can share code with the oracle it is checked against.
 """
 
 import itertools
+import math
+from collections import Counter
 from functools import lru_cache
 
 
@@ -115,6 +121,21 @@ def naive_is_core(parts, k):
     return all(h % k for h in naive_hooks(parts).values())
 
 
+def dimension(alpha):
+    """Degree of the irreducible character of alpha: n! over the product of
+    the hook lengths."""
+    hook_product = math.prod(naive_hooks(tuple(alpha)).values())
+    degree, remainder = divmod(math.factorial(sum(alpha)), hook_product)
+    assert remainder == 0, alpha
+    return degree
+
+
+def centralizer_order(mu):
+    """Order of the centralizer of a permutation of cycle type mu: the product
+    of i**m * m! over the part values i of multiplicity m."""
+    return math.prod(i**m * math.factorial(m) for i, m in Counter(mu).items())
+
+
 def representative_of_type(mu):
     """A permutation of {0..n-1} with cycle type mu, as a tuple mapping."""
     perm = []
@@ -158,6 +179,33 @@ def naive_rim_hook_removals(parts, t):
     return out
 
 
+_MN_MEMOS = {}  # (beta, p) -> {(parts, stage): value}
+
+
+def mn_character(alpha, beta, p=None):
+    """chi^alpha on the class with cycle parts beta, exact or mod p, by the
+    backward Murnaghan-Nakayama recursion: strip a border strip of length
+    beta[0] from alpha in every way, sign each child's value by the strip's
+    leg length, and recurse on beta[1:].  The memo is kept per (beta, p), so
+    the entries of one column share their states."""
+    beta = tuple(beta)
+    memo = _MN_MEMOS.setdefault((beta, p), {})
+
+    def rec(parts, stage):
+        if stage == len(beta):
+            return int(not parts)
+        key = (parts, stage)
+        if key not in memo:
+            total = 0
+            for child, leg in naive_rim_hook_removals(parts, beta[stage]):
+                value = rec(child, stage + 1)
+                total += -value if leg % 2 else value
+            memo[key] = total if p is None else total % p
+        return memo[key]
+
+    return rec(tuple(alpha), 0)
+
+
 @lru_cache(maxsize=None)
 def naive_core_terminals(parts, k):
     """All end states of exhaustively stripping k-rim-hooks in every order."""
@@ -179,4 +227,30 @@ def brute_multipartitions(k, m):
         for head in brute_partitions(first):
             for tail in brute_multipartitions(k - 1, m - first):
                 out.append((head,) + tail)
+    return out
+
+
+def node_addition_cover(mp):
+    """The at most k + 1 ways to grow a k-multipartition, a tuple of part
+    tuples, by one node.
+
+    With h the last nonempty component: add a node to component h at the end
+    of its last row (when that stays a partition) or at the bottom of its
+    first column, or put a first node into any later component.  The images
+    of all multipartitions of m cover every multipartition of m + 1, which is
+    what makes p_k(m + 1) <= (k + 1) p_k(m).
+    """
+    h = max((i + 1 for i, parts in enumerate(mp) if parts), default=0)
+
+    def grown(i, parts):
+        return mp[:i] + (parts,) + mp[i + 1:]
+
+    out = set()
+    if h:
+        parts = mp[h - 1]
+        if len(parts) == 1 or parts[-2] > parts[-1]:
+            out.add(grown(h - 1, parts[:-1] + (parts[-1] + 1,)))
+        out.add(grown(h - 1, parts + (1,)))
+    for i in range(h, len(mp)):
+        out.add(grown(i, (1,)))
     return out

@@ -10,20 +10,20 @@ import random
 import time
 from fractions import Fraction
 
-from _oracles import enumerated_core_count
+from _oracles import (
+    brute_multipartitions,
+    centralizer_order,
+    dimension,
+    enumerated_core_count,
+    node_addition_cover,
+)
 from conftest import partitions_of
 from snchar.census import check_core_vanishing, check_fiber_congruence, column_divisibility, table_census
-from snchar.characters import compute_column, dimension
+from snchar.characters import compute_column
 from snchar.cli import main
-from snchar.cores import (
-    enumerate_multipartitions,
-    k_core,
-    multipartition_count,
-    node_addition_cover,
-    random_greedy_core,
-)
+from snchar.cores import k_core, multipartition_count, random_greedy_core
 from snchar.padic import digit_representative, p_regular_partitions
-from snchar.partitions import Partition, centralizer_order, partition_count
+from snchar.partitions import Partition, partition_count
 
 
 def _report(num: str, ok: bool, detail: str) -> None:
@@ -93,11 +93,11 @@ def test_criterion_04_growth_and_deficit_bounds():
     for k in range(1, 5):
         for m in range(1, 9):
             covered = set()
-            for mp in enumerate_multipartitions(k, m - 1):
+            for mp in brute_multipartitions(k, m - 1):
                 image = node_addition_cover(mp)
                 cover_ok = cover_ok and len(image) <= k + 1
                 covered |= image
-            cover_ok = cover_ok and covered == set(enumerate_multipartitions(k, m))
+            cover_ok = cover_ok and covered == set(brute_multipartitions(k, m))
     ok = growth_ok and deficit_ok and cover_ok
     _report(
         "04",

@@ -1,22 +1,23 @@
 import hashlib
+import re
 from fractions import Fraction
 
 import pytest
 
+from _oracles import mn_character
 from conftest import partitions_of
 from snchar import census
 from snchar.census import (
     CACHE_VERSION,
-    ColumnChecksumError,
+    ColumnCacheError,
     ColumnStore,
-    ColumnVersionError,
     check_core_vanishing,
     check_fiber_congruence,
     column_divisibility,
     table_census,
     threshold_experiment,
 )
-from snchar.characters import compute_column, mn_character, zero_counts
+from snchar.characters import compute_column, zero_counts
 from snchar.cores import count_k_cores
 from snchar.padic import digit_representative, p_regular_partitions
 from snchar.partitions import Partition
@@ -217,13 +218,13 @@ def test_cache_detects_tampering(tmp_path):
     path = store.save(4, 2, (1, 2))
     text = path.read_text()
     path.write_text(text.replace("values=1,2", "values=0,2", 1))
-    with pytest.raises(ColumnChecksumError):
+    with pytest.raises(ColumnCacheError, match="failed its checksum"):
         store.load(4, 2)
     path.write_text(text.replace("n=4\n", "", 1))
-    with pytest.raises(ColumnChecksumError):
+    with pytest.raises(ColumnCacheError, match="failed its checksum"):
         store.load(4, 2)
     _rechecksum(path, text.replace("n=4\n", "", 1).rpartition("\nchecksum=")[0])
-    with pytest.raises(ColumnChecksumError, match="not a census file"):
+    with pytest.raises(ColumnCacheError, match="not a census file"):
         store.load(4, 2)
 
 
@@ -232,7 +233,7 @@ def test_cache_rejects_unknown_version(tmp_path):
     path = store.save(4, 2, (1, 2))
     text = path.read_text()
     path.write_text(text.replace(f"census {CACHE_VERSION}", f"census {CACHE_VERSION + 1}", 1))
-    with pytest.raises(ColumnVersionError):
+    with pytest.raises(ColumnCacheError, match="unsupported header"):
         store.load(4, 2)
 
 
@@ -246,7 +247,7 @@ def test_cache_rejects_checksummed_bad_values(tmp_path, counts, problem):
     # (n = 4, p = 2 has the labels (3,1) and (1,1,1,1), and p(4) = 5)
     store = ColumnStore(tmp_path)
     store.save(4, 2, counts)
-    with pytest.raises(ColumnChecksumError, match=problem):
+    with pytest.raises(ColumnCacheError, match=problem):
         store.load(4, 2)
 
 
@@ -256,12 +257,12 @@ def test_census_cache_rejects_swapped_file(tmp_path):
     assert first.record.divisible_count == 44
     store = ColumnStore(tmp_path)
     store.path_for(6, 3).write_bytes(store.path_for(6, 2).read_bytes())
-    with pytest.raises(ColumnChecksumError, match="holds n=6 p=2"):
+    with pytest.raises(ColumnCacheError, match="holds n=6 p=2"):
         table_census(6, 3, cache_dir=tmp_path)
     # the right key, checksummed, but a wrong label line
     body = store.path_for(6, 2).read_text().rpartition("\nchecksum=")[0]
     _rechecksum(store.path_for(6, 2), body.replace("labels=5,1;", "labels=4,2;", 1))
-    with pytest.raises(ColumnChecksumError, match="regular partitions"):
+    with pytest.raises(ColumnCacheError, match="regular partitions"):
         table_census(6, 2, cache_dir=tmp_path)
 
 
@@ -323,7 +324,15 @@ def test_census_cache_corruption_is_not_silent(tmp_path):
     table_census(6, 2, cache_dir=tmp_path)
     victim = next(tmp_path.iterdir())
     victim.write_text(victim.read_text().replace("checksum=", "checksum=00", 1))
-    with pytest.raises(ColumnChecksumError):
+    with pytest.raises(ColumnCacheError, match="failed its checksum"):
+        table_census(6, 2, cache_dir=tmp_path)
+
+
+def test_census_store_non_ascii_byte_is_cache_error(tmp_path):
+    table_census(6, 2, cache_dir=tmp_path)
+    path = ColumnStore(tmp_path).path_for(6, 2)
+    path.write_bytes(path.read_bytes().replace(b"n=6", b"n=\xff", 1))
+    with pytest.raises(ColumnCacheError, match=f"cannot read {re.escape(str(path))}"):
         table_census(6, 2, cache_dir=tmp_path)
 
 

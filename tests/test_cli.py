@@ -254,6 +254,16 @@ def test_census_store_path_that_is_a_directory_exits_2(tmp_path, capsys):
     assert err.startswith("invalid input: ")
 
 
+def test_census_store_file_with_a_non_ascii_byte_exits_2(tmp_path, capsys):
+    assert run(capsys, "census", "--n", "6", "--p", "2", "--cache-dir", str(tmp_path))[0] == 0
+    path = tmp_path / "census_n6_p2.txt"
+    path.write_bytes(path.read_bytes().replace(b"p=2", b"p=\xff", 1))
+    code, out, err = run(capsys, "census", "--n", "6", "--p", "2", "--cache-dir", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"invalid input: cannot read {path}: ")
+
+
 def _bare_python(code: str) -> subprocess.CompletedProcess:
     # a fresh interpreter without site-packages that imports snchar from src/
     return subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,

@@ -10,18 +10,14 @@ from _oracles import (
     naive_core_terminals,
     naive_is_core,
     naive_rim_hook_removals,
+    node_addition_cover,
 )
 from conftest import partitions_of, partitions_st
 from snchar.cores import (
-    Multipartition,
     count_k_cores,
-    enumerate_multipartitions,
-    from_core_and_quotient,
     is_k_core,
     k_core,
-    k_quotient,
     multipartition_count,
-    node_addition_cover,
     random_greedy_core,
     remove_rim_hook,
 )
@@ -108,44 +104,9 @@ def test_is_k_core_against_hook_multiset():
                 assert is_k_core(lam, k) == naive_is_core(tuple(lam), k)
 
 
-def test_k_quotient_weight_and_core_cases():
-    # a k-core has an all-empty quotient
-    for lam in partitions_of(8):
-        for k in range(2, 9):
-            if is_k_core(lam, k):
-                assert k_quotient(lam, k).total == 0
-    q = k_quotient(P(2, 2), 2)
-    assert q.total == k_core(P(2, 2), 2).weight == 2
-
-
-def test_quotient_total_equals_weight():
-    for n in range(16):
-        for lam in partitions_of(n):
-            for k in (1, 2, 3, 5):
-                assert k_quotient(lam, k).total == k_core(lam, k).weight
-
-
-def test_core_quotient_reconstruction_bijection():
-    for n in range(16):
-        seen = set()
-        for lam in partitions_of(n):
-            for k in (2, 3, 4):
-                result = k_core(lam, k)
-                quotient = k_quotient(lam, k)
-                rebuilt = from_core_and_quotient(result.core, quotient)
-                assert rebuilt == lam
-                seen.add((k, result.core, quotient.components))
-        # distinct partitions gave distinct (core, quotient) pairs
-        assert len(seen) == 3 * partition_count(n)
-
-
-def test_from_core_and_quotient_rejects_non_core():
-    with pytest.raises(ValueError):
-        from_core_and_quotient(P(2), Multipartition((P(), P())))
-
-
 def test_fiber_sizes_match_multipartition_count():
-    # partitions of n with a given k-core, grouped, against p_k(weight)
+    # partitions of n with a given k-core, grouped, against p_k(weight): the
+    # core-quotient bijection, counted
     for n in range(21):
         for k in range(2, n + 1):
             groups: dict = {}
@@ -220,40 +181,18 @@ def test_multipartition_count_against_enumeration():
             assert multipartition_count(k, m) == len(brute_multipartitions(k, m))
 
 
-def test_enumerate_multipartitions_matches_count_and_brute():
-    for k in (1, 2, 3):
-        for m in range(7):
-            listed = list(enumerate_multipartitions(k, m))
-            assert len(listed) == multipartition_count(k, m)
-            as_tuples = {tuple(tuple(c) for c in mp.components) for mp in listed}
-            assert as_tuples == set(brute_multipartitions(k, m))
-            assert len(as_tuples) == len(listed)
-
-
-def test_multipartition_serialization():
-    mp = Multipartition((P(2, 1), P(), P(3)))
-    assert mp.to_text() == "2,1|-|3"
-    assert Multipartition.from_text("2,1|-|3") == mp
-    assert mp.total == 6 and mp.k == 3
-
-
 def test_node_addition_cover_examples():
-    one = Multipartition((P(1),))
-    assert node_addition_cover(one) == {Multipartition((P(2),)), Multipartition((P(1, 1),))}
-    empty2 = Multipartition((P(), P()))
-    assert node_addition_cover(empty2) == {
-        Multipartition((P(1), P())),
-        Multipartition((P(), P(1))),
-    }
+    assert node_addition_cover(((1,),)) == {((2,),), ((1, 1),)}
+    assert node_addition_cover(((), ())) == {((1,), ()), ((), (1,))}
 
 
 def test_node_addition_cover_at_k2_m3():
     covered = set()
-    for mp in enumerate_multipartitions(2, 2):
+    for mp in brute_multipartitions(2, 2):
         image = node_addition_cover(mp)
         assert len(image) <= 3
         covered |= image
-    assert covered == set(enumerate_multipartitions(2, 3))
+    assert covered == set(brute_multipartitions(2, 3))
     assert len(covered) == 10
 
 
@@ -261,13 +200,13 @@ def test_node_addition_cover_bound_and_cover():
     for k in range(1, 5):
         for m in range(1, 9):
             covered = set()
-            for mp in enumerate_multipartitions(k, m - 1):
+            for mp in brute_multipartitions(k, m - 1):
                 image = node_addition_cover(mp)
                 assert len(image) <= k + 1
                 for grown in image:
-                    assert grown.total == m
+                    assert sum(map(sum, grown)) == m
                 covered |= image
-            assert covered == set(enumerate_multipartitions(k, m))
+            assert covered == set(brute_multipartitions(k, m))
 
 
 @given(partitions_st(20), st.integers(1, 8))
@@ -276,7 +215,6 @@ def test_core_size_law_random(lam, k):
     result = k_core(lam, k)
     assert lam.n == result.core.n + k * result.weight
     assert is_k_core(result.core, k)
-    assert k_quotient(lam, k).total == result.weight
 
 
 @given(partitions_st(14, min_n=1), st.integers(1, 6), st.randoms(use_true_random=False))

@@ -1,22 +1,24 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
-from _oracles import bounded_count, brute_centralizer_order, brute_partitions, naive_hooks
+from _oracles import (
+    bounded_count,
+    brute_centralizer_order,
+    brute_partitions,
+    centralizer_order,
+    naive_hooks,
+)
 from conftest import partitions_of, partitions_st
 from snchar.partitions import (
-    BetaSet,
     Partition,
-    centralizer_order,
-    conjugate,
+    _beta_mask,
+    _parts_from_beads,
     enumerate_partitions,
     exponent_form,
-    from_beta_set,
-    hook_lengths,
     partition_count,
-    to_beta_set,
 )
 
 
@@ -118,38 +120,6 @@ def test_count_memo_safe_under_concurrent_growth():
     assert partition_count(200) == 3972999029388
 
 
-def test_conjugate_examples():
-    assert conjugate(Partition(())) == ()
-    assert conjugate(Partition((3, 1))) == (2, 1, 1)
-    assert conjugate(Partition((2, 2))) == (2, 2)
-
-
-def test_conjugate_involution_exhaustive():
-    for n in range(31):
-        for lam in partitions_of(n):
-            assert conjugate(conjugate(lam)) == lam
-
-
-def test_hook_examples():
-    assert hook_lengths(Partition((1,))) == {(1, 1): 1}
-    assert sorted(hook_lengths(Partition((2, 2))).values()) == [1, 2, 2, 3]
-    assert sorted(hook_lengths(Partition((3, 1))).values()) == [1, 1, 2, 4]
-
-
-@pytest.mark.parametrize("n", range(13))
-def test_hooks_against_naive_oracle(n):
-    for lam in partitions_of(n):
-        assert hook_lengths(lam) == naive_hooks(tuple(lam))
-
-
-def test_hook_multiset_conjugation_invariant():
-    for n in range(21):
-        for lam in partitions_of(n):
-            assert sorted(hook_lengths(lam).values()) == sorted(
-                hook_lengths(conjugate(lam)).values()
-            )
-
-
 def test_centralizer_examples():
     assert centralizer_order(Partition((1, 1, 1))) == 6
     assert centralizer_order(Partition((3,))) == brute_centralizer_order((3,)) == 3
@@ -175,45 +145,51 @@ def test_exponent_form():
     assert exponent_form(Partition(())) == ()
 
 
+def _beads(lam, size):
+    # the bead positions of lam on a beta-set of the given size, decreasing
+    return tuple((lam[i] if i < len(lam) else 0) + size - 1 - i for i in range(size))
+
+
+def _hooks_from_mask(lam):
+    # the abacus route: row i's hooks are x - y over the vacant y below its
+    # bead x, column 1 first; is_k_core probes exactly this gap rule
+    mask = _beta_mask(tuple(lam))
+    beads = [x for x in reversed(range(mask.bit_length())) if mask >> x & 1]
+    out = {}
+    for i, x in enumerate(beads, start=1):
+        gaps = (y for y in range(x) if not mask >> y & 1)
+        for j, y in enumerate(gaps, start=1):
+            out[(i, j)] = x - y
+    return out
+
+
+def test_hook_examples():
+    assert naive_hooks((1,)) == _hooks_from_mask(Partition((1,))) == {(1, 1): 1}
+    assert sorted(naive_hooks((2, 2)).values()) == [1, 2, 2, 3]
+    assert sorted(naive_hooks((3, 1)).values()) == [1, 1, 2, 4]
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_hooks_against_naive_oracle(n):
+    for lam in partitions_of(n):
+        assert _hooks_from_mask(lam) == naive_hooks(tuple(lam))
+
+
 def test_beta_set_examples():
-    assert to_beta_set(Partition(()), 3) == (2, 1, 0)
-    assert to_beta_set(Partition((4, 1)), 2) == (5, 1)
-    assert from_beta_set(BetaSet((5, 1))) == (4, 1)
-
-
-def test_beta_set_size_error():
-    with pytest.raises(ValueError):
-        to_beta_set(Partition((2, 1, 1)), 2)
-
-
-def test_beta_set_validation():
-    with pytest.raises(ValueError):
-        BetaSet((1, 1))
-    with pytest.raises(ValueError):
-        BetaSet((1, 2))
-    with pytest.raises(ValueError):
-        BetaSet((2, -1))
-    with pytest.raises(ValueError):
-        BetaSet((True, False))
+    assert _parts_from_beads((2, 1, 0)) == ()
+    assert _parts_from_beads((5, 1)) == (4, 1)
+    assert _beta_mask((4, 1)) == 0b100010
+    assert _beta_mask(()) == 0
 
 
 def test_beta_round_trip_exhaustive():
+    # k_core and the rim-hook probe decode beads with _parts_from_beads
     for n in range(21):
         for lam in partitions_of(n):
             for size in range(len(lam), len(lam) + 6):
-                assert from_beta_set(to_beta_set(lam, size)) == lam
+                assert _parts_from_beads(_beads(lam, size)) == lam
 
 
 @given(partitions_st(25), st.integers(0, 7))
 def test_beta_round_trip_random(lam, extra):
-    size = len(lam) + extra
-    beta = to_beta_set(lam, size)
-    assert len(beta) == size
-    assert from_beta_set(beta) == lam
-
-
-@given(partitions_st(25))
-@settings(max_examples=60)
-def test_conjugate_preserves_size(lam):
-    assert conjugate(lam).n == lam.n
-    assert len(hook_lengths(lam)) == lam.n
+    assert _parts_from_beads(_beads(lam, len(lam) + extra)) == lam
