@@ -24,7 +24,7 @@ from .census import (
     table_census,
     threshold_experiment,
 )
-from .characters import CharColumn, compute_column
+from .characters import compute_column
 from .cores import (
     CoreResult,
     count_k_cores,

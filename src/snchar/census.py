@@ -260,24 +260,15 @@ def _column_record(
     )
 
 
-def column_divisibility(
-    n: int, p: int, mu, c: float = DEFAULT_C, exact: bool = False
-) -> ColumnDivisibilityRecord:
+def column_divisibility(n: int, p: int, mu, c: float = DEFAULT_C) -> ColumnDivisibilityRecord:
     """Zero statistics of the column of mu mod p, with threshold predicates
-    evaluated on its p-regular label.
-
-    exact=True computes the exact column and reduces it, instead of running
-    the recursion in modular arithmetic; the record is identical either way.
-    """
+    evaluated on its p-regular label."""
     _require_prime(p)
     _require_scale(c)
     mu = Partition(mu)
     if mu.n != n:
         raise ValueError(f"{mu} is not a partition of {n}")
-    if exact:
-        zero_count = sum(1 for v in compute_column(n, mu, None).values if v % p == 0)
-    else:
-        zero_count = compute_column(n, mu, p).zero_count()
+    zero_count = partition_count(n) - len(compute_column(n, mu, p))
     return _column_record(n, p, mu, zero_count, c)
 
 
@@ -288,16 +279,14 @@ def check_fiber_congruence(n: int, p: int, lam) -> FiberCongruenceReport:
         raise ValueError(f"{lam} is not a partition of {n}")
     members = list(fiber_partitions(lam, p))
     reference_mu = members[0]
-    reference = compute_column(n, reference_mu, p).values
+    reference = compute_column(n, reference_mu, p)
     mismatch = None
     for mu in members[1:]:
-        values = compute_column(n, mu, p).values
-        if values != reference:
-            alpha = next(
-                a
-                for a, x, y in zip(enumerate_partitions(n), reference, values)
-                if x != y
-            )
+        column = compute_column(n, mu, p)
+        if column != reference:
+            # canonical order is descending, so the first differing row in
+            # enumeration order is the largest
+            alpha = max(alpha for alpha, _ in reference.items() ^ column.items())
             mismatch = (reference_mu, mu, alpha)
             break
     return FiberCongruenceReport(
@@ -321,9 +310,8 @@ def check_core_vanishing(n: int, k: int) -> CoreVanishReport:
     violations = []
     for mu in classes:
         column = compute_column(n, mu, None)
-        for alpha, value in zip(partitions, column.values):
-            if value != 0 and alpha in cores:
-                violations.append((alpha, mu, value))
+        nonzero_cores = sorted(cores & column.keys(), reverse=True)  # enumeration order
+        violations += [(alpha, mu, column[alpha]) for alpha in nonzero_cores]
     return CoreVanishReport(
         n=n,
         k=k,

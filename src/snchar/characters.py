@@ -15,7 +15,9 @@ here forward, adding rim hooks instead of removing them:
   bead x moves to a vacant x + t, and the leg is the number of beads it
   jumps; _add_hooks).  One pass reaches every row; entries that cancel, mod
   p if a modulus is set, are dropped after each part, so the rows left at
-  the end are exactly the nonzero ones.
+  the end are exactly the nonzero ones, and the column is those rows alone,
+  each mask decoded back to its partition.  A column costs its nonzero
+  rows, not the p(n) partitions of n.
 - over many classes, for zero counts mod p only (zero_counts): the classes'
   ascending parts form a trie, walked depth first, so classes that share
   their smallest parts share that work.  A stage's vector has one entry per
@@ -33,13 +35,12 @@ only in the tests, as the oracle both routes are checked against.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import compress, repeat
-from typing import NamedTuple
+from itertools import compress
 
 # Bound only for the benchmark tracer's probe hook, which feeds cores.self_s.
 from .cores import _rim_hook_options  # noqa: F401
 from .padic import is_prime
-from .partitions import Partition, _beta_mask, enumerate_partitions, partition_count
+from .partitions import Partition, _beta_mask, _mask_partition, enumerate_partitions, partition_count
 
 
 class MemoCache:
@@ -62,31 +63,15 @@ class MemoCache:
         self.misses = 0
 
 
-class CharColumn(NamedTuple):
-    """All character values on one conjugacy class.
-
-    values holds one entry per partition of n, in enumerate_partitions(n)
-    order; with a modulus set, every value lies in [0, modulus - 1].
-    """
-
-    n: int
-    mu: Partition
-    modulus: int | None
-    values: tuple[int, ...]
-
-    def zero_count(self) -> int:
-        return self.values.count(0)
-
-
-def compute_column(n: int, mu, modulus: int | None = None) -> CharColumn:
-    """Character values for every partition of n on the class mu, in
-    enumerate_partitions(n) order: exact, or reduced mod a prime modulus.
+def compute_column(n: int, mu, modulus: int | None = None) -> dict[Partition, int]:
+    """The nonzero character values on the class mu, keyed by row partition:
+    exact, or reduced mod a prime modulus into [1, modulus - 1].
 
     The whole column is built forward in one pass, adding a rim hook for
     each part of mu (smallest first) to every state of the previous stage,
     starting from the empty partition.  Entries that cancel to zero (mod
     modulus, if set) are dropped after each part, so a row is zero exactly
-    when the last stage does not reach it.
+    when it is not a key; the partitions of n are never enumerated.
     """
     mu = Partition(mu)
     if n < 0:
@@ -100,8 +85,7 @@ def compute_column(n: int, mu, modulus: int | None = None) -> CharColumn:
     for t in reversed(mu):
         states = _add_hooks(states, t, modulus, cache)
     cache.table = states
-    values = tuple(map(states.get, _row_masks(n), repeat(0)))
-    return CharColumn(n=n, mu=mu, modulus=modulus, values=values)
+    return {_mask_partition(mask): value for mask, value in states.items()}
 
 
 def zero_counts(n: int, labels, p: int) -> tuple[int, ...]:

@@ -92,8 +92,7 @@ def _bound_report_row(report: bounds.BoundReport) -> dict:
 
 
 def cmd_column(args) -> int:
-    rec = census.column_divisibility(args.n, args.p, Partition.from_text(args.mu),
-                                     c=args.c, exact=args.exact)
+    rec = census.column_divisibility(args.n, args.p, Partition.from_text(args.mu), c=args.c)
     _emit([_column_record_row(rec)], args.format)
     return 0
 
@@ -322,8 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--mu", required=True, help='class partition, e.g. "4,1"')
-    sp.add_argument("--exact", action="store_true",
-                    help="compute the exact column and reduce it")
     sp.add_argument("--c", type=float, default=census.DEFAULT_C)
     sp.set_defaults(func=cmd_column)
 
@@ -397,6 +394,8 @@ def main(argv=None) -> int:
                 setattr(args, flag, read[flag])
         if args.lemma == "1" and args.max_k == 0:
             parser.error("--lemma 1 needs --max-k of at least 1")
+        if args.lemma == "3" and args.max_n < 2:
+            parser.error("--lemma 3 needs --max-n of at least 2")
     try:
         return args.func(args)
     except (ValueError, census.ColumnCacheError) as exc:

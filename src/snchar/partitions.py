@@ -4,7 +4,7 @@ bead encoding the abacus code runs on.
 Everything here is exact integer arithmetic; counting never touches floats.
 A partition with r parts lam_1 >= ... >= lam_r has the beads
 lam_i + r - i (_beta_mask packs them into a bitmask, _parts_from_beads
-decodes them back).
+decodes them back, and _mask_partition decodes a mask padded to more beads).
 Partitions serialize as comma-separated decreasing part lists ("4,1"), with
 "-" for the empty partition.  That textual form is the one used in CLI
 arguments, CSV cells, and cache keys.
@@ -68,9 +68,6 @@ class Partition(tuple):
 
     def __repr__(self) -> str:
         return f"Partition({tuple(self)!r})"
-
-    def __reduce__(self):
-        return (Partition, (tuple(self),))
 
 
 def enumerate_partitions(n: int) -> Iterator[Partition]:
@@ -172,3 +169,10 @@ def _beta_mask(parts: tuple) -> int:
         mask |= 1 << (a + shift)
         shift -= 1
     return mask
+
+
+def _mask_partition(mask: int) -> Partition:
+    # Inverse of a bead mask padded with beads at 0, 1, ...: shift off that
+    # run of beads; each remaining bead's part is the vacancies below it.
+    digits = bin(mask >> ((mask ^ (mask + 1)).bit_length() - 1))[2:]
+    return Partition._unchecked(tuple(digits.count("0", i) for i, d in enumerate(digits) if d == "1"))

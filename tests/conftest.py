@@ -2,6 +2,7 @@ from functools import lru_cache
 
 from hypothesis import strategies as st
 
+from snchar import census
 from snchar.partitions import Partition, enumerate_partitions
 
 
@@ -10,6 +11,24 @@ def partitions_of(n: int) -> tuple[Partition, ...]:
     return tuple(enumerate_partitions(n))
 
 
+def dense(column: dict, n: int) -> tuple:
+    """A column's values in enumeration order, zero rows included."""
+    return tuple(column.get(alpha, 0) for alpha in partitions_of(n))
+
+
 def partitions_st(max_n: int, min_n: int = 0):
     """Hypothesis strategy over all partitions of sizes in [min_n, max_n]."""
     return st.integers(min_n, max_n).flatmap(lambda n: st.sampled_from(partitions_of(n)))
+
+
+def inject_column_fault(monkeypatch, n, target, **swap):
+    """Make census.compute_column answer for the class target of n with the
+    column of swap's mu and modulus, each defaulting to the one asked for."""
+    real = census.compute_column
+
+    def compute_column(n_, mu_, modulus=None):
+        if n_ == n and tuple(mu_) == tuple(target):
+            mu_, modulus = swap.get("mu", mu_), swap.get("modulus", modulus)
+        return real(n_, mu_, modulus)
+
+    monkeypatch.setattr(census, "compute_column", compute_column)

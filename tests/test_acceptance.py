@@ -17,7 +17,7 @@ from _oracles import (
     enumerated_core_count,
     node_addition_cover,
 )
-from conftest import partitions_of
+from conftest import dense, partitions_of
 from snchar.census import check_core_vanishing, check_fiber_congruence, column_divisibility, table_census
 from snchar.characters import compute_column
 from snchar.cli import main
@@ -37,7 +37,7 @@ def test_criterion_01_column_orthogonality():
     pairs = 0
     for n in range(1, 11):
         labels = partitions_of(n)
-        columns = {mu: compute_column(n, mu).values for mu in labels}
+        columns = {mu: dense(compute_column(n, mu), n) for mu in labels}
         for i, mu in enumerate(labels):
             for nu in labels[i:]:
                 pairs += 1
@@ -54,7 +54,7 @@ def test_criterion_02_dimension_suite():
     ok = True
     for n in range(1, 15):
         ones = Partition((1,) * n)
-        column = list(compute_column(n, ones).values)
+        column = list(dense(compute_column(n, ones), n))
         dims = [dimension(alpha) for alpha in partitions_of(n)]
         ok = ok and column == dims and sum(d * d for d in dims) == math.factorial(n)
     _report("02", ok, "first column = hook-length dimensions and sum dim^2 = n!, n <= 14")

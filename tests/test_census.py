@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from _oracles import mn_character
-from conftest import partitions_of
+from _oracles import dimension, mn_character
+from conftest import dense, inject_column_fault, partitions_of
 from snchar import census
 from snchar.census import (
     CACHE_VERSION,
@@ -19,7 +19,7 @@ from snchar.census import (
 )
 from snchar.characters import compute_column, zero_counts
 from snchar.cores import count_k_cores
-from snchar.padic import digit_representative, p_regular_partitions
+from snchar.padic import digit_representative, fiber_partitions, p_regular_partitions
 from snchar.partitions import Partition
 
 
@@ -44,13 +44,6 @@ def test_column_record_identity_class():
     # dimensions 1,3,2,3,1: exactly one even entry
     assert rec.zero_count == 1
     assert rec.proportion == Fraction(1, 5)
-
-
-def test_column_exact_mode_matches():
-    for n, p, mu in ((4, 5, P(4)), (6, 7, P(6)), (5, 2, P(3, 2))):
-        fast = column_divisibility(n, p, mu)
-        slow = column_divisibility(n, p, mu, exact=True)
-        assert fast == slow
 
 
 def test_column_validation():
@@ -86,8 +79,8 @@ def test_fiber_congruence_s3():
     report = check_fiber_congruence(3, 2, P(1, 1, 1))
     assert report.fiber_size == 2
     assert report.congruent
-    col_a = compute_column(3, P(1, 1, 1), 2).values
-    col_b = compute_column(3, P(2, 1), 2).values
+    col_a = dense(compute_column(3, P(1, 1, 1), 2), 3)
+    col_b = dense(compute_column(3, P(2, 1), 2), 3)
     assert col_a == col_b == (1, 0, 1)
 
 
@@ -96,6 +89,22 @@ def test_fiber_congruence_exhaustive_small():
         for p in (2, 3):
             for lam in p_regular_partitions(n, p):
                 assert check_fiber_congruence(n, p, lam).congruent
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_fiber_congruence_reports_first_differing_row(monkeypatch, n):
+    # the second member of the fiber of 1^n at p = 2 comes back exact, not
+    # reduced: its column differs in one row at n = 5 (chi^(3,1,1) = -2 on
+    # (2,2,1)) and in four at n = 6; the first in enumeration order is named
+    lam = P(*[1] * n)
+    reference_mu, mu = list(fiber_partitions(lam, 2))[:2]
+    inject_column_fault(monkeypatch, n, mu, modulus=None)
+    report = check_fiber_congruence(n, 2, lam)
+    alpha = next(
+        a for a in partitions_of(n) if mn_character(a, reference_mu, 2) != mn_character(a, mu)
+    )
+    assert not report.congruent
+    assert report.mismatch == (reference_mu, mu, alpha)
 
 
 def test_fiber_congruence_validation():
@@ -124,6 +133,19 @@ def test_core_vanishing_sweep_small():
     for n in range(1, 11):
         for k in range(1, n + 1):
             assert check_core_vanishing(n, k).ok
+
+
+def test_core_vanishing_lists_nonzero_core_rows(monkeypatch):
+    # the class (4,1,1) gets the identity column, so each 4-core of 6 shows
+    # its dimension there; violations keep enumeration order
+    inject_column_fault(monkeypatch, 6, P(4, 1, 1), mu=P(1, 1, 1, 1, 1, 1))
+    report = check_core_vanishing(6, 4)
+    assert not report.ok
+    assert report.violations == tuple(
+        (alpha, P(4, 1, 1), dimension(alpha))
+        for alpha in partitions_of(6)
+        if alpha in (P(4, 1, 1), P(3, 2, 1), P(3, 1, 1, 1))
+    )
 
 
 def test_core_vanishing_validation():
@@ -155,8 +177,7 @@ def test_census_matches_direct_per_class_count():
         for p in (2, 3):
             direct = 0
             for mu in partitions_of(n):
-                col = compute_column(n, mu, p)
-                direct += col.zero_count()
+                direct += dense(compute_column(n, mu, p), n).count(0)
             assert table_census(n, p).record.divisible_count == direct
 
 

@@ -6,7 +6,9 @@ from pathlib import Path
 
 import pytest
 
+from conftest import inject_column_fault
 from snchar.cli import main
+from snchar.partitions import Partition
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -61,10 +63,16 @@ def test_column_json(capsys):
     ]
 
 
-def test_column_exact_flag_same_output(capsys):
-    _, fast, _ = run(capsys, "column", "--n", "6", "--p", "3", "--mu", "3,2,1")
-    _, slow, _ = run(capsys, "column", "--n", "6", "--p", "3", "--mu", "3,2,1", "--exact")
-    assert fast == slow
+def test_column_theorem_point_at_n_80(capsys):
+    # a column costs its nonzero rows (11 520 here), not the p(80) rows
+    mu = ",".join(["20"] + ["3"] * 20)
+    code, out, _ = run(capsys, "column", "--n", "80", "--p", "2", "--mu", mu, "--format", "json")
+    assert code == 0
+    [record] = json.loads(out)
+    assert record["zero_count"] == 15784956
+    assert record["total"] == 15796476
+    assert record["core_floor"] == 15395724
+    assert record["qualifies_threshold"] is True
 
 
 def test_column_invalid_inputs(capsys):
@@ -126,6 +134,15 @@ def test_fibers_single_label(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "n,p,label,mu,fiber_size,congruent"
     assert len(lines) == 3  # two fiber members
+
+
+@pytest.mark.parametrize("lam", [None, "1,1,1,1,1"], ids=["all-labels", "one-label"])
+def test_fibers_exits_1_on_a_congruence_failure(monkeypatch, capsys, lam):
+    inject_column_fault(monkeypatch, 5, Partition((2, 2, 1)), modulus=None)
+    argv = ["fibers", "--n", "5", "--p", "2"] + (["--lambda", lam] if lam else [])
+    code, out, _ = run(capsys, *argv)
+    assert code == 1
+    assert [line for line in out.splitlines() if line.endswith("false")]
 
 
 def test_fibers_rejects_irregular_label(capsys):
@@ -212,6 +229,13 @@ def test_verify_core_vanish(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "n,k,core_count,class_count,pairs_checked,violations,ok"
     assert all(line.endswith("true") for line in lines[1:])
+
+
+def test_verify_core_vanish_exits_1_on_a_violation(monkeypatch, capsys):
+    inject_column_fault(monkeypatch, 6, Partition((4, 1, 1)), mu=Partition((1,) * 6))
+    code, out, _ = run(capsys, "verify-core-vanish", "--max-n", "6")
+    assert code == 1
+    assert [line for line in out.splitlines() if line.endswith("false")] == ["6,4,3,2,6,3,false"]
 
 
 def test_verify_bounds_json(capsys):
@@ -339,8 +363,10 @@ def test_flag_of_another_subcommand_exits_2(argv):
         ("verify-bounds", "--lemma", "1", "--max-k", "3", "--max-m", "-1"),
         ("verify-core-vanish", "--max-n", "-1"),
         ("verify-cores", "--max-n", "3", "--trials", "-2"),
+        ("verify-bounds", "--lemma", "3", "--max-n", "1"),
     ],
-    ids=["fiber-max-n", "lemma2-max-k", "lemma1-max-m", "core-vanish-max-n", "cores-trials"],
+    ids=["fiber-max-n", "lemma2-max-k", "lemma1-max-m", "core-vanish-max-n", "cores-trials",
+         "lemma3-max-n-1"],
 )
 def test_empty_sweep_bounds_exit_2(argv):
     with pytest.raises(SystemExit) as excinfo:

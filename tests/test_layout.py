@@ -1,10 +1,15 @@
 """Guards on how the code is laid out: the test oracles stay independent of
-the package, and every binding the benchmark tracer wraps still exists."""
+the package, every binding the benchmark tracer wraps still exists, and the
+README's flag table matches the parser."""
 
+import argparse
 import ast
 import importlib
 import importlib.util
+import re
 from pathlib import Path
+
+from snchar.cli import build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -34,3 +39,21 @@ def test_tracer_hooks_resolve_on_the_package():
         if getattr(importlib.import_module(f"snchar.{hook.module}"), hook.attr, None) is None
     ]
     assert missing == []
+
+
+def test_readme_flag_table_matches_the_parser():
+    # each row of the "subcommand | its own flags" table lists exactly the
+    # options its subparser takes, --help and the shared --format aside
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    table = text[text.index("| subcommand | its own flags |"):].split("\n\n", 1)[0]
+    documented = {}
+    for line in table.splitlines()[2:]:
+        name, flags = re.fullmatch(r"\| `([\w-]+)` \| (.*) \|", line).groups()
+        documented[name] = set(re.findall(r"`(--[\w-]+)`", flags))
+    [subparsers] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    parsed = {
+        name: {opt for action in sub._actions for opt in action.option_strings if opt.startswith("--")}
+        - {"--help", "--format"}
+        for name, sub in subparsers.choices.items()
+    }
+    assert documented == parsed

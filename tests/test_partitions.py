@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import pytest
 from hypothesis import given
@@ -15,6 +16,7 @@ from conftest import partitions_of, partitions_st
 from snchar.partitions import (
     Partition,
     _beta_mask,
+    _mask_partition,
     _parts_from_beads,
     enumerate_partitions,
     exponent_form,
@@ -33,6 +35,18 @@ def test_partition_validation():
         Partition((3, -1))
     with pytest.raises(ValueError):
         Partition((True, True))
+
+
+def test_pickle_round_trip():
+    # the --jobs pool pickles labels; a tuple subclass unpickles by default
+    # through Partition.__new__, which validates, at every protocol from 2 on
+    for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+        for lam in (Partition(()), Partition((4, 1)), Partition((3, 3, 1, 1))):
+            back = pickle.loads(pickle.dumps(lam, protocol))
+            assert type(back) is Partition
+            assert back == lam
+        with pytest.raises(ValueError):
+            pickle.loads(pickle.dumps(Partition._unchecked((1, 3)), protocol))
 
 
 def test_text_round_trip():
@@ -183,11 +197,15 @@ def test_beta_set_examples():
 
 
 def test_beta_round_trip_exhaustive():
-    # k_core and the rim-hook probe decode beads with _parts_from_beads
+    # k_core and the rim-hook probe decode beads with _parts_from_beads;
+    # compute_column decodes its bead masks with _mask_partition
     for n in range(21):
         for lam in partitions_of(n):
             for size in range(len(lam), len(lam) + 6):
-                assert _parts_from_beads(_beads(lam, size)) == lam
+                beads = _beads(lam, size)
+                assert _parts_from_beads(beads) == lam
+                decoded = _mask_partition(sum(1 << x for x in beads))
+                assert type(decoded) is Partition and decoded == lam
 
 
 @given(partitions_st(25), st.integers(0, 7))
