@@ -26,6 +26,8 @@ def parse_args(argv=None) -> argparse.Namespace:
     parser.add_argument("--out-prefix", default=None,
                         help="write <prefix>_envelope.csv and <prefix>_decay.csv")
     args = parser.parse_args(argv)
+    if args.max_m < 1:
+        parser.error(f"--max-m must be at least 1, got {args.max_m}")
     if any(n < 2 for n in args.decay_n):
         parser.error(f"--decay-n values must be at least 2, got {args.decay_n}")
     return args

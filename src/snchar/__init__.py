@@ -25,15 +25,7 @@ from .census import (
     threshold_experiment,
 )
 from .characters import compute_column
-from .cores import (
-    CoreResult,
-    count_k_cores,
-    is_k_core,
-    k_core,
-    multipartition_count,
-    random_greedy_core,
-    remove_rim_hook,
-)
+from .cores import count_k_cores, is_k_core, multipartition_count
 from .padic import (
     PowerBlockWitness,
     ThresholdParams,

@@ -37,7 +37,8 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import compress
 
-# Bound only for the benchmark tracer's probe hook, which feeds cores.self_s.
+# Nothing in the package calls this; it is bound here only for the benchmark
+# tracer's probe hook, and goes when the benchmark drops that hook.
 from .cores import _rim_hook_options  # noqa: F401
 from .padic import is_prime
 from .partitions import Partition, _beta_mask, _mask_partition, enumerate_partitions, partition_count

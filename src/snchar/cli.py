@@ -1,5 +1,5 @@
 """Command-line interface: one binary, subcommands for columns, censuses,
-fiber checks, bound sweeps, and core verification.
+fiber checks, bound sweeps, and core-vanishing verification.
 
 Output is CSV (default) or JSON on stdout; progress and cache statistics go
 to stderr.  Exit codes: 0 all checks passed, 1 some verification failed,
@@ -11,12 +11,11 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import random
 import sys
 from fractions import Fraction
 
-from . import bounds, census, cores, padic
-from .partitions import Partition, enumerate_partitions, partition_count
+from . import bounds, census, padic
+from .partitions import Partition, partition_count
 
 
 def _csv_cell(value) -> str:
@@ -251,34 +250,6 @@ def cmd_verify_core_vanish(args) -> int:
     return 1 if failed else 0
 
 
-def cmd_verify_cores(args) -> int:
-    rng = random.Random(args.seed)
-    rows = []
-    failed = False
-    for n in range(1, args.max_n + 1):
-        mismatches = 0
-        count = 0
-        for lam in enumerate_partitions(n):
-            count += 1
-            for _ in range(args.trials):
-                k = rng.randint(1, n + 2)
-                expected = cores.k_core(lam, k).core
-                if cores.random_greedy_core(lam, k, rng) != expected:
-                    mismatches += 1
-        rows.append(
-            {
-                "n": n,
-                "partitions": count,
-                "trials_per_partition": args.trials,
-                "mismatches": mismatches,
-                "ok": mismatches == 0,
-            }
-        )
-        failed = failed or mismatches
-    _emit(rows, args.format)
-    return 1 if failed else 0
-
-
 def _int_at_least(low: int):
     """argparse type: an int no smaller than low, so a sweep bound that would
     check nothing is an argparse error (exit 2)."""
@@ -369,14 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="k-core rows vanish on classes with largest part k")
     sp.add_argument("--max-n", type=positive, required=True)
     sp.set_defaults(func=cmd_verify_core_vanish)
-
-    sp = sub.add_parser("verify-cores", parents=[common],
-                        help="randomized greedy hook stripping agrees with the abacus")
-    sp.add_argument("--max-n", type=positive, default=10)
-    sp.add_argument("--trials", type=positive, default=20)
-    sp.add_argument("--seed", type=int, default=0,
-                    help="seed for the random hook orders and hook lengths")
-    sp.set_defaults(func=cmd_verify_cores)
 
     return parser
 

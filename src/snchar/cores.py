@@ -1,31 +1,22 @@
-"""Rim-hook removal and k-cores on the abacus, k-core counts by generating
+"""k-cores on the abacus: the k-core test, k-core counts by generating
 function, multipartition counts.
 
-The abacus picture drives everything: a partition becomes bead positions on k
-runners, removing a rim hook of length k slides one bead down its runner, and
-the k-core is the configuration with every bead pushed down.  A classical
-consequence used throughout: a partition has a hook of length divisible by k
-iff it has one of length exactly k.  The partitions of n with a given k-core
-and weight w are as many as the k-component multipartitions of w (one
-partition per runner, the k-quotient); the tests check that count, which is
-what the core fiber identity in snchar.bounds rests on.
+A partition becomes bead positions on k runners, and a rim hook of length k
+is a bead with a vacancy k below it.  A classical consequence used
+throughout: a partition has a hook of length divisible by k iff it has one of
+length exactly k, so is_k_core is a one-shift bitmask test.  The partitions
+of n with a given k-core and weight w are as many as the k-component
+multipartitions of w (one partition per runner, the k-quotient); the tests
+check that count, which is what the core fiber identity in snchar.bounds
+rests on.  _rim_hook_options, one rim-hook removal, has no caller in the
+package; it is kept only for the benchmark tracer's hook in snchar.characters.
 """
 
 from __future__ import annotations
 
-import random
 from functools import lru_cache
-from typing import NamedTuple
 
-from .partitions import Partition, _beta_mask, _parts_from_beads, partition_count
-
-
-class CoreResult(NamedTuple):
-    """Outcome of stripping all hooks of length k: the core and the number stripped."""
-
-    core: Partition
-    weight: int
-    k: int
+from .partitions import _beta_mask, _parts_from_beads, partition_count
 
 
 def _rim_hook_options(parts: tuple, length: int) -> list[tuple[tuple, int]]:
@@ -55,41 +46,6 @@ def _rim_hook_options(parts: tuple, length: int) -> list[tuple[tuple, int]]:
         new_beta = beta[:pos] + beta[pos + 1: pos + 1 + leg] + [y] + beta[pos + 1 + leg:]
         out.append((_parts_from_beads(tuple(new_beta)), leg))
     return out
-
-
-def remove_rim_hook(lam, hook_length: int) -> set[tuple[Partition, int]]:
-    """Every partition reachable by removing one rim hook of exactly hook_length
-    cells, paired with that hook's leg length.  Empty set when no such hook exists."""
-    if hook_length < 1:
-        raise ValueError("hook length must be positive")
-    return {
-        (Partition._unchecked(child), leg)
-        for child, leg in _rim_hook_options(tuple(lam), hook_length)
-    }
-
-
-def k_core(lam, k: int) -> CoreResult:
-    """Strip every hook of length divisible by k (abacus push-down).
-
-    The result does not depend on the order hooks are removed in, nor on the
-    beta-set size; |lam| = |core| + weight * k.
-    """
-    if k < 1:
-        raise ValueError("k must be positive")
-    parts = tuple(lam)
-    r = len(parts)
-    runners: list[list[int]] = [[] for _ in range(k)]
-    for i, a in enumerate(parts):
-        x = a + r - 1 - i  # beads in decreasing order, so each runner's rows are too
-        runners[x % k].append(x // k)
-    weight = 0
-    beads = []
-    for j, rows in enumerate(runners):
-        for new_row, row in enumerate(reversed(rows)):
-            weight += row - new_row
-            beads.append(new_row * k + j)
-    beads.sort(reverse=True)
-    return CoreResult(Partition._unchecked(_parts_from_beads(tuple(beads))), weight, k)
 
 
 def is_k_core(lam, k: int) -> bool:
@@ -170,15 +126,3 @@ def _convolve(a: list[int], b: list[int], m: int) -> list[int]:
                 out[i + j] += ai * b[j]
     return out
 
-
-def random_greedy_core(lam, k: int, rng: random.Random) -> Partition:
-    """Strip removable k-rim-hooks in a random order until none remain.
-
-    Agrees with k_core(lam, k).core for every order; used to test exactly that.
-    """
-    current = Partition(lam)
-    while True:
-        options = sorted(remove_rim_hook(current, k))
-        if not options:
-            return current
-        current = rng.choice(options)[0]

@@ -78,17 +78,12 @@ def enumerate_partitions(n: int) -> Iterator[Partition]:
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    yield from map(Partition._unchecked, _iter_partition_tuples(n))
-
-
-def _iter_partition_tuples(n: int) -> Iterator[tuple]:
-    # Hot path shared by the counting sweeps: raw tuples, no validation.
     if n == 0:
-        yield ()
+        yield Partition._unchecked(())
         return
     parts = [n]
     while True:
-        yield tuple(parts)
+        yield Partition._unchecked(tuple(parts))
         i = len(parts) - 1
         while i >= 0 and parts[i] == 1:
             i -= 1

@@ -8,8 +8,12 @@ recursion (mn_character), which strips border strips one entry at a time,
 instead of the package's forward rim-hook addition over whole columns.
 dimension (the hook-length formula on direct arm/leg counts) and
 centralizer_order (the product formula, itself checked against permutation
-counting) give the values the columns must reproduce.  Nothing here imports
-snchar, so no fast path can share code with the oracle it is checked against.
+counting) give the values the columns must reproduce.  k_core, the abacus
+push-down, groups partitions by core and weight for the package's
+multipartition counts; it is itself checked against naive_core_terminals
+(exhaustive border-strip stripping) and greedy_core (stripping in a random
+order).  Nothing here imports snchar, so no fast path can share code with the
+oracle it is checked against.
 """
 
 import itertools
@@ -216,6 +220,41 @@ def naive_core_terminals(parts, k):
     for child, _ in options:
         out |= naive_core_terminals(child, k)
     return frozenset(out)
+
+
+def greedy_core(parts, k, rng):
+    """Strip k-rim-hooks one at a time, each picked uniformly by rng among
+    the sorted border-strip removals, until none is left."""
+    parts = tuple(parts)
+    while True:
+        options = sorted(naive_rim_hook_removals(parts, k))
+        if not options:
+            return parts
+        parts = rng.choice(options)[0]
+
+
+def k_core(parts, k):
+    """(core, weight): the k-core of a partition and the number of k-rim-hooks
+    stripped to reach it, by the abacus push-down.
+
+    Part a_i of r parts is the bead a_i + r - 1 - i, on runner bead % k at
+    row bead // k; pushing every bead to the bottom of its runner strips all
+    the k-rim-hooks at once, and each row a bead falls is one of them.
+    """
+    r = len(parts)
+    runners = [[] for _ in range(k)]
+    for i, a in enumerate(parts):
+        bead = a + r - 1 - i  # decreasing, so each runner's rows are too
+        runners[bead % k].append(bead // k)
+    weight = 0
+    beads = []
+    for j, rows in enumerate(runners):
+        for new_row, row in enumerate(reversed(rows)):
+            weight += row - new_row
+            beads.append(new_row * k + j)
+    beads.sort(reverse=True)
+    core = tuple(bead - (r - 1 - i) for i, bead in enumerate(beads))
+    return tuple(a for a in core if a > 0), weight
 
 
 def brute_multipartitions(k, m):

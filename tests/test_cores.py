@@ -1,5 +1,3 @@
-import random
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,94 +5,70 @@ from hypothesis import strategies as st
 from _oracles import (
     brute_multipartitions,
     enumerated_core_row,
+    k_core,
     naive_core_terminals,
     naive_is_core,
     naive_rim_hook_removals,
     node_addition_cover,
 )
 from conftest import partitions_of, partitions_st
-from snchar.cores import (
-    count_k_cores,
-    is_k_core,
-    k_core,
-    multipartition_count,
-    random_greedy_core,
-    remove_rim_hook,
-)
-from snchar.partitions import Partition, partition_count
-
-
-def P(*parts):
-    return Partition(parts)
+from snchar.cores import _rim_hook_options, count_k_cores, is_k_core, multipartition_count
+from snchar.partitions import partition_count
 
 
 def test_remove_rim_hook_examples():
-    assert remove_rim_hook(P(2, 2), 4) == set()
-    assert remove_rim_hook(P(3, 1), 4) == {(P(), 1)}
-    assert remove_rim_hook(P(1), 1) == {(P(), 0)}
-
-
-def test_remove_rim_hook_rejects_bad_length():
-    with pytest.raises(ValueError):
-        remove_rim_hook(P(2, 1), 0)
+    assert _rim_hook_options((2, 2), 4) == []
+    assert _rim_hook_options((3, 1), 4) == [((), 1)]
+    assert _rim_hook_options((1,), 1) == [((), 0)]
 
 
 @pytest.mark.parametrize("n", range(11))
 def test_remove_rim_hook_against_border_strips(n):
     for lam in partitions_of(n):
         for t in range(1, n + 2):
-            got = {(tuple(child), leg) for child, leg in remove_rim_hook(lam, t)}
-            assert got == naive_rim_hook_removals(tuple(lam), t)
+            got = _rim_hook_options(tuple(lam), t)
+            assert len(set(got)) == len(got)
+            assert set(got) == naive_rim_hook_removals(tuple(lam), t)
+
+
+# k_core is the oracle's abacus push-down; these tests check it against the
+# size law, exhaustive stripping, and the package's is_k_core and
+# multipartition_count.
 
 
 def test_k_core_examples():
-    result = k_core(P(4, 1), 3)
-    assert (result.core, result.weight) == ((1, 1), 1)
-    assert k_core(P(2, 2), 2).core == ()
-    assert k_core(P(2, 2), 2).weight == 2
+    assert k_core((4, 1), 3) == ((1, 1), 1)
+    assert k_core((2, 2), 2) == ((), 2)
 
 
 def test_k_core_large_k_is_identity():
     for lam in partitions_of(6):
         for k in range(7, 10):
-            result = k_core(lam, k)
-            assert result.core == lam and result.weight == 0
+            assert k_core(lam, k) == (lam, 0)
 
 
 def test_k_core_size_law_and_core_property():
     for n in range(15):
         for lam in partitions_of(n):
             for k in range(1, n + 2):
-                result = k_core(lam, k)
-                assert lam.n == result.core.n + k * result.weight
-                assert is_k_core(result.core, k)
+                core, weight = k_core(lam, k)
+                assert n == sum(core) + k * weight
+                assert is_k_core(core, k)
 
 
 def test_k_core_idempotent():
     for n in range(21):
         for lam in partitions_of(n):
             for k in range(1, n + 1):
-                core = k_core(lam, k).core
-                assert k_core(core, k).core == core
+                core = k_core(lam, k)[0]
+                assert k_core(core, k) == (core, 0)
 
 
 @pytest.mark.parametrize("n", range(1, 13))
 def test_k_core_matches_exhaustive_stripping(n):
     for lam in partitions_of(n):
         for k in range(1, n + 1):
-            terminals = naive_core_terminals(tuple(lam), k)
-            assert len(terminals) == 1
-            assert next(iter(terminals)) == tuple(k_core(lam, k).core)
-
-
-def test_greedy_random_order_independence_small():
-    rng = random.Random(2024)
-    for n in range(1, 11):
-        for lam in partitions_of(n):
-            for k in range(1, n + 1):
-                expected = k_core(lam, k).core
-                for _ in range(5):
-                    assert random_greedy_core(lam, k, rng) == expected
+            assert naive_core_terminals(tuple(lam), k) == {k_core(lam, k)[0]}
 
 
 def test_is_k_core_against_hook_multiset():
@@ -112,8 +86,7 @@ def test_fiber_sizes_match_multipartition_count():
             groups: dict = {}
             for lam in partitions_of(n):
                 result = k_core(lam, k)
-                groups.setdefault((result.core, result.weight), 0)
-                groups[(result.core, result.weight)] += 1
+                groups[result] = groups.get(result, 0) + 1
             for (core, weight), size in groups.items():
                 assert size == multipartition_count(k, weight)
 
@@ -212,12 +185,6 @@ def test_node_addition_cover_bound_and_cover():
 @given(partitions_st(20), st.integers(1, 8))
 @settings(max_examples=80)
 def test_core_size_law_random(lam, k):
-    result = k_core(lam, k)
-    assert lam.n == result.core.n + k * result.weight
-    assert is_k_core(result.core, k)
-
-
-@given(partitions_st(14, min_n=1), st.integers(1, 6), st.randoms(use_true_random=False))
-@settings(max_examples=60)
-def test_greedy_agrees_with_abacus_random(lam, k, rng):
-    assert random_greedy_core(lam, k, rng) == k_core(lam, k).core
+    core, weight = k_core(lam, k)
+    assert lam.n == sum(core) + k * weight
+    assert is_k_core(core, k)

@@ -1,6 +1,7 @@
 """Guards on how the code is laid out: the test oracles stay independent of
-the package, every binding the benchmark tracer wraps still exists, and the
-README's flag table matches the parser."""
+the package, every binding the benchmark tracer wraps still exists, every
+public name has a use outside the tests, and the README's flag table matches
+the parser."""
 
 import argparse
 import ast
@@ -39,6 +40,24 @@ def test_tracer_hooks_resolve_on_the_package():
         if getattr(importlib.import_module(f"snchar.{hook.module}"), hook.attr, None) is None
     ]
     assert missing == []
+
+
+def test_every_exported_name_has_a_non_test_use():
+    # a public name that only the tests read is API kept alive for the tests
+    init = ast.parse((ROOT / "src" / "snchar" / "__init__.py").read_text(encoding="utf-8"))
+    exported = {alias.asname or alias.name for node in init.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    sources = [path for path in (ROOT / "src" / "snchar").glob("*.py") if path.name != "__init__.py"]
+    sources += [*(ROOT / "scripts").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
+    used = set()
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                used.add(node.attr)
+    assert exported
+    assert sorted(exported - used) == []
 
 
 def test_readme_flag_table_matches_the_parser():

@@ -197,8 +197,8 @@ def test_beta_set_examples():
 
 
 def test_beta_round_trip_exhaustive():
-    # k_core and the rim-hook probe decode beads with _parts_from_beads;
-    # compute_column decodes its bead masks with _mask_partition
+    # the rim-hook probe decodes beads with _parts_from_beads; compute_column
+    # decodes its bead masks with _mask_partition
     for n in range(21):
         for lam in partitions_of(n):
             for size in range(len(lam), len(lam) + 6):

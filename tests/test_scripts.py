@@ -27,9 +27,18 @@ def test_bound_diagnostics_output_unchanged(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-def test_bound_diagnostics_rejects_decay_n_below_2():
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--decay-n", "1", "40"),
+        ("--max-m", "0"),
+        ("--max-m", "-3"),
+    ],
+    ids=["decay-n-1", "max-m-0", "max-m-negative"],
+)
+def test_bound_diagnostics_rejects_bad_input(argv):
     with pytest.raises(SystemExit) as excinfo:
-        load_script("bound_diagnostics").main(["--decay-n", "1", "40"])
+        load_script("bound_diagnostics").main(list(argv))
     assert excinfo.value.code == 2
 
 
