@@ -6,13 +6,14 @@ reuses it across the label's whole fiber; that shortcut is itself verified
 exhaustively at small n by check_fiber_congruence.  The counts come from one
 trie walk over the labels' digit representatives (characters.zero_counts),
 the fiber members with the fewest parts, so no column is kept, and the store
-persists them as one file per (n, p).  Workers take whole trie branches,
-results are re-canonicalized after any parallel phase, and all emitted
-records are immutable, so output never depends on job count.
+persists them as one file per (n, p).  With --jobs, workers are children
+forked from the census process, each taking whole groups of representatives
+that share their largest part; results are re-canonicalized after the
+parallel phase, and all emitted records are immutable, so output never
+depends on job count.
 
-concurrent.futures (and multiprocessing with it) and hashlib load on first
-use, so a census that needs neither the pool nor the store does not pay for
-them at start-up.
+Nothing here loads a process pool, and the store's checksum (zlib) loads on
+first use, so a census without a store pays for neither at start-up.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import os
 import sys
 from contextlib import suppress
 from fractions import Fraction
-from itertools import repeat
 from pathlib import Path
 from typing import NamedTuple
 
@@ -47,13 +47,14 @@ from .partitions import Partition, enumerate_partitions, partition_count
 # the threshold low, so more columns qualify.
 DEFAULT_C = 0.4
 
-CACHE_VERSION = 2
+CACHE_VERSION = 3
 _CACHE_MAGIC = "snchar-census"
 
 
 def __getattr__(name: str):
-    # census.ProcessPoolExecutor, imported on first use; _trie_census reads
-    # it as a module attribute, so it can be replaced from outside.
+    # census.ProcessPoolExecutor, imported on first use.  Nothing in the
+    # package reads it: it resolves only for the benchmark tracer's hook,
+    # and goes when the benchmark re-points that hook.
     if name == "ProcessPoolExecutor":
         from concurrent.futures import ProcessPoolExecutor
 
@@ -147,10 +148,11 @@ class ColumnCacheError(Exception):
 
 
 def _checksum(body: str) -> str:
-    # 64-bit content checksum, stored as 16 hex digits.
-    import hashlib  # loads OpenSSL: only runs that use a store pay for it
+    # 64-bit content checksum, stored as 16 hex digits: CRC-32 then Adler-32.
+    import zlib  # loads on first use: only runs that use a store pay for it
 
-    return hashlib.sha256(body.encode("ascii")).hexdigest()[:16]
+    data = body.encode("ascii")
+    return f"{zlib.crc32(data):08x}{zlib.adler32(data):08x}"
 
 
 def _label_texts(n: int, p: int) -> list[str]:
@@ -325,26 +327,80 @@ def check_core_vanishing(n: int, k: int) -> CoreVanishReport:
 def _trie_census(n: int, p: int, labels: list[Partition], jobs: int) -> tuple[int, ...]:
     # Zero counts in label order, from a trie walk over the labels' digit
     # representatives: a representative's column is congruent to its
-    # label's, and it has the fewest parts in the fiber.  The move tables
-    # are built first, so forked workers inherit them.  The trie is split at
-    # its first level, (smallest part, its multiplicity), and workers take
-    # whole branches, largest first.
+    # label's, and it has the fewest parts in the fiber.  A unit of work is
+    # the group of representatives that share their largest part t, and
+    # costs about p(n - t) per representative; the shares are balanced by
+    # that cost.  The move tables are built first, so forked workers
+    # inherit them.
     representatives = [digit_representative(lam, p) for lam in labels]
-    _build_move_tables([rep[::-1] for rep in representatives])
-    by_key: dict[tuple, list[Partition]] = {}
+    groups: dict[int, list[Partition]] = {}
     for rep in representatives:
-        by_key.setdefault((rep[-1], rep.count(rep[-1])) if rep else (), []).append(rep)
-    branches = sorted(by_key.values(), key=len, reverse=True)
-    workers = min(jobs, len(branches), os.cpu_count() or 1)
+        groups.setdefault(rep[0] if rep else 0, []).append(rep)
+    workers = min(jobs, len(groups), os.cpu_count() or 1) if hasattr(os, "fork") else 1
     if workers > 1:
-        with sys.modules[__name__].ProcessPoolExecutor(max_workers=workers) as pool:
-            computed = list(pool.map(zero_counts, repeat(n), branches, repeat(p)))
+        _build_move_tables([rep[::-1] for rep in representatives])
+        cost = {t: len(group) * partition_count(n - t) for t, group in groups.items()}
+        shares: list[list[Partition]] = [[] for _ in range(workers)]
+        loads = [0] * workers
+        for t in sorted(cost, key=cost.get, reverse=True):
+            lightest = loads.index(min(loads))
+            shares[lightest] += groups[t]
+            loads[lightest] += cost[t]
+        computed = _in_forks(lambda share: zero_counts(n, share, p), shares)
     else:
-        computed = list(map(zero_counts, repeat(n), branches, repeat(p)))
+        shares = [representatives]
+        computed = [zero_counts(n, representatives, p)]
     by_representative = {}
-    for branch, counts in zip(branches, computed):
-        by_representative.update(zip(branch, counts))
+    for share, counts in zip(shares, computed):
+        by_representative.update(zip(share, counts))
     return tuple(by_representative[rep] for rep in representatives)
+
+
+def _in_forks(task, shares: list) -> list[tuple[int, ...]]:
+    """task(share) for each share, in order: the first here, each other in a
+    child forked from this process, which inherits its state and sends the
+    counts back through a pipe.  A child that fails makes this raise
+    RuntimeError; every child is reaped before this returns or raises."""
+    children = []  # (pid, the read end of its pipe)
+    texts = None
+    try:
+        for share in shares[1:]:
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:
+                status = 1
+                try:
+                    os.close(read)
+                    with open(write, "w", encoding="ascii") as out:
+                        out.write(",".join(map(str, task(share))))
+                    status = 0
+                except BaseException as exc:
+                    print(f"census worker {os.getpid()} failed: {exc!r}", file=sys.stderr)
+                finally:
+                    sys.stderr.flush()
+                    os._exit(status)
+            os.close(write)
+            children.append((pid, open(read, encoding="ascii")))
+        results = [task(shares[0])]
+        texts = [source.read() for _, source in children]
+    finally:
+        statuses = []
+        for pid, source in children:
+            source.close()
+            if texts is None:  # this process failed first: stop the children
+                from signal import SIGKILL
+
+                os.kill(pid, SIGKILL)
+            statuses.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+    for (pid, _), code in zip(children, statuses):
+        if code:
+            raise RuntimeError(f"census worker {pid} failed (exit code {code})")
+    return results + [tuple(map(int, text.split(","))) for text in texts]
 
 
 def table_census(n: int, p: int, jobs: int = 1, cache_dir=None) -> CensusResult:
@@ -355,7 +411,8 @@ def table_census(n: int, p: int, jobs: int = 1, cache_dir=None) -> CensusResult:
     representatives, optionally in parallel) and weights it by the label's
     fiber size.  Output is canonicalized after the
     parallel phase, so repeated runs and different job counts give identical
-    results.  The pool gets at most one worker per trie branch and per CPU.
+    results.  The census runs in at most one process per CPU and per group
+    of representatives that share their largest part.
     """
     _require_prime(p)
     if n < 0:

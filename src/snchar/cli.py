@@ -300,7 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--jobs", type=int, default=1,
-                    help="worker processes (at most one per pending trie branch and per CPU)")
+                    help="processes forked from this one: at most one per CPU and per group of "
+                         "digit representatives sharing their largest part; one without os.fork")
     sp.add_argument("--cache-dir", default=None,
                     help="directory for persisted census zero counts")
     sp.set_defaults(func=cmd_census)

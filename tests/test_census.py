@@ -1,5 +1,8 @@
 import hashlib
+import os
 import re
+import zlib
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -20,7 +23,8 @@ from snchar.census import (
 from snchar.characters import compute_column, zero_counts
 from snchar.cores import count_k_cores
 from snchar.padic import digit_representative, fiber_partitions, p_regular_partitions
-from snchar.partitions import Partition
+from snchar.cli import main
+from snchar.partitions import Partition, partition_count
 
 
 def P(*parts):
@@ -217,9 +221,10 @@ def test_census_validation():
 
 
 def _rechecksum(path, body):
-    # rewrite a store file with the given body and a checksum that fits it
-    digest = hashlib.sha256(body.encode("ascii")).hexdigest()[:16]
-    path.write_text(f"{body}\nchecksum={digest}\n")
+    # rewrite a store file with the given body and a checksum that fits it:
+    # CRC-32 then Adler-32 of the body, 8 hex digits each
+    data = body.encode("ascii")
+    path.write_text(f"{body}\nchecksum={zlib.crc32(data):08x}{zlib.adler32(data):08x}\n")
 
 
 def test_cache_round_trip(tmp_path):
@@ -256,6 +261,17 @@ def test_cache_rejects_unknown_version(tmp_path):
     path.write_text(text.replace(f"census {CACHE_VERSION}", f"census {CACHE_VERSION + 1}", 1))
     with pytest.raises(ColumnCacheError, match="unsupported header"):
         store.load(4, 2)
+
+
+def test_census_rejects_version_2_store_file(tmp_path, capsys):
+    # version 2 checksummed with SHA-256; it is an unknown version now
+    body = "snchar-census 2\nn=4\np=2\nlabels=3,1;1,1,1,1\nvalues=1,1"
+    digest = hashlib.sha256(body.encode("ascii")).hexdigest()[:16]
+    ColumnStore(tmp_path).path_for(4, 2).write_text(f"{body}\nchecksum={digest}\n")
+    assert main(["census", "--n", "4", "--p", "2", "--cache-dir", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unsupported header 'snchar-census 2'" in captured.err
 
 
 @pytest.mark.parametrize(
@@ -298,36 +314,85 @@ def test_census_ignores_version_1_column_files(tmp_path):
 
 
 def test_census_jobs_clamped_to_pending_and_cpus(monkeypatch):
-    # never fork: a stand-in pool records its size and maps serially
+    # never fork: a stand-in runs the shares serially and records how many
     sizes = []
 
-    class SerialPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+    def serial(task, shares):
+        sizes.append(len(shares))
+        return [task(share) for share in shares]
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(census, "ProcessPoolExecutor", SerialPool)
-    serial = table_census(6, 2)
-    # first trie level, (smallest part, its multiplicity), of the digit
-    # representatives of the odd-part labels of 6: (5,1), (6), (3,2,1) and
-    # (4,2) give 3 branches
-    representatives = [digit_representative(col.label, 2) for col in serial.columns]
+    monkeypatch.setattr(census, "_in_forks", serial)
+    serial_result = table_census(6, 2)
+    # a unit is the group of digit representatives that share their largest
+    # part; the odd-part labels of 6 give (5,1), (6), (3,2,1) and (4,2), so
+    # 4 groups
+    representatives = [digit_representative(col.label, 2) for col in serial_result.columns]
     assert representatives == [P(5, 1), P(6), P(3, 2, 1), P(4, 2)]
-    branches = len({(rep[-1], rep.count(rep[-1])) for rep in representatives})
-    assert branches == 3
-    for cpus, jobs, expected in ((64, 64, [branches]), (2, 64, [2]), (64, 2, [2]), (1, 64, [])):
+    groups = len({rep[0] for rep in representatives})
+    assert groups == 4
+    for cpus, jobs, expected in ((64, 64, [groups]), (2, 64, [2]), (64, 2, [2]), (1, 64, [])):
         sizes.clear()
         monkeypatch.setattr(census.os, "cpu_count", lambda: cpus)
-        assert table_census(6, 2, jobs=jobs) == serial
+        assert table_census(6, 2, jobs=jobs) == serial_result
         assert sizes == expected
+    # without os.fork, --jobs runs the serial path
+    monkeypatch.delattr(census.os, "fork", raising=False)
+    sizes.clear()
+    assert table_census(6, 2, jobs=64) == serial_result
+    assert sizes == []
+
+
+def test_census_shares_balanced_by_cost(monkeypatch):
+    # a group of representatives with largest part t costs p(n - t) each;
+    # groups are never split, and dealing the heaviest first to the lightest
+    # share leaves the shares within one group's cost of each other
+    shares_seen = []
+
+    def serial(task, shares):
+        shares_seen.extend(shares)
+        return [task(share) for share in shares]
+
+    monkeypatch.setattr(census, "_in_forks", serial)
+    monkeypatch.setattr(census.os, "cpu_count", lambda: 3)
+    result = table_census(14, 3, jobs=3)
+    assert result == table_census(14, 3)
+    representatives = [digit_representative(col.label, 3) for col in result.columns]
+    assert sorted(rep for share in shares_seen for rep in share) == sorted(representatives)
+    tops = [{rep[0] for rep in share} for share in shares_seen]
+    assert len(tops) == 3 and sum(map(len, tops)) == len(set().union(*tops))
+    group_costs = Counter()
+    for rep in representatives:
+        group_costs[rep[0]] += partition_count(14 - rep[0])
+    loads = sorted(sum(partition_count(14 - rep[0]) for rep in share) for share in shares_seen)
+    assert loads[-1] - loads[0] <= max(group_costs.values())
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.parametrize(
+    "in_worker, message",
+    [(True, r"check failed: census worker \d+ failed"), (False, "check failed: injected fault")],
+    ids=["worker", "census-process"],
+)
+def test_census_worker_failure_fails_the_census(monkeypatch, capsys, in_worker, message):
+    # a forked worker that raises, or the census process's own share, makes
+    # the census exit 1 with a message, and every worker is reaped
+    census_pid = os.getpid()
+    real = census.zero_counts
+
+    def faulty(n, labels, p):
+        if (os.getpid() != census_pid) == in_worker:
+            raise RuntimeError("injected fault")
+        return real(n, labels, p)
+
+    monkeypatch.setattr(census, "zero_counts", faulty)
+    monkeypatch.setattr(census.os, "cpu_count", lambda: 2)
+    code = main(["census", "--n", "12", "--p", "2", "--jobs", "2"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert re.match(message, captured.err)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_census_cache_hits_on_second_run(tmp_path):

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -227,6 +228,50 @@ def test_zero_counts_move_tables_match_mask_step_on_random_pairs():
         mu = rng.choice(partitions_of(n))
         p = rng.choice((2, 3, 5))
         assert zero_counts(n, [mu], p) == (dense(compute_column(n, mu, p), n).count(0),), (mu, p)
+
+
+def test_zero_counts_lanes_match_compute_column_on_random_sets():
+    # many classes per call, so classes that share their largest part take
+    # their last step together in byte lanes; each is checked on its own
+    rng = random.Random(1729)
+    for _ in range(12):
+        n = rng.randint(14, 24)
+        p = rng.choice((2, 3, 5, 7))
+        classes = rng.sample(partitions_of(n), min(len(partitions_of(n)), rng.randint(20, 160)))
+        expected = tuple(dense(compute_column(n, mu, p), n).count(0) for mu in classes)
+        assert zero_counts(n, classes, p) == expected, (n, p)
+
+
+@pytest.mark.parametrize("extra", [0, 1], ids=["lanes", "lanes-plus-one"])
+def test_zero_counts_lane_chunk_boundaries(extra):
+    # exactly _LANES classes with one largest part fill one lane int; one
+    # more starts a second int holding a single class
+    lanes = characters._LANES
+    n = next(n for n in range(1, 60)
+             if max(Counter(mu[0] for mu in partitions_of(n)).values()) >= lanes + 1)
+    t = Counter(mu[0] for mu in partitions_of(n)).most_common(1)[0][0]
+    classes = [mu for mu in partitions_of(n) if mu[0] == t][:lanes + extra]
+    assert len(classes) == lanes + extra
+    for p in (2, 3):
+        expected = tuple(dense(compute_column(n, mu, p), n).count(0) for mu in classes)
+        assert zero_counts(n, classes, p) == expected, p
+
+
+@pytest.mark.parametrize("p", [131, 257])
+def test_zero_counts_wide_primes_match_backward_recursion(p):
+    # p * (n // t) >= 256 for small t, so those classes step alone in
+    # unbounded ints; 257 does not fit a byte at all
+    for n in range(1, 13):
+        expected = tuple(sum(mn_character(alpha, mu, p) == 0 for alpha in partitions_of(n))
+                         for mu in partitions_of(n))
+        assert zero_counts(n, partitions_of(n), p) == expected, n
+
+
+def test_zero_counts_degree_zero():
+    # S_0 has one class, whose one character value is 1
+    assert zero_counts(0, [()], 2) == (0,)
+    assert zero_counts(0, [(), ()], 3) == (0, 0)
+    assert zero_counts(0, [], 2) == ()
 
 
 def test_zero_counts_validation():

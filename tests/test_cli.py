@@ -294,18 +294,24 @@ def _bare_python(code: str) -> subprocess.CompletedProcess:
                           env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120, check=True)
 
 
-def test_cli_import_loads_no_pool_store_or_dataclass_modules():
-    # each costs every process start-up time; they load on first use
+def test_cli_import_loads_no_pool_store_or_dataclass_modules(tmp_path):
+    # each costs every process start-up time: none loads at import, and no
+    # census loads a pool or hashlib, serial, with forked --jobs workers (two
+    # CPUs are claimed, so it forks) or with a store (checksummed by zlib)
     heavy = ("concurrent.futures", "multiprocessing", "hashlib", "dataclasses")
     result = _bare_python(f"import sys, snchar.cli; print([m for m in {heavy!r} if m in sys.modules])")
     assert result.stdout == "[]\n"
-    census = "import sys, snchar.cli; snchar.cli.main(['census', '--n', '6', '--p', '2'{}]); " \
-             "print('concurrent.futures' in sys.modules, file=sys.stderr)"
-    serial = _bare_python(census.format(""))
-    pooled = _bare_python(census.format(", '--jobs', '2'"))
-    assert pooled.stdout == serial.stdout
-    assert serial.stderr.endswith("False\n")
-    assert pooled.stderr.endswith("True\n") or os.cpu_count() == 1
+    runs = [
+        _bare_python(
+            "import os, sys, snchar.cli; os.cpu_count = lambda: 2; "
+            f"snchar.cli.main(['census', '--n', '6', '--p', '2', *{extra!r}]); "
+            f"print([m for m in {heavy[:3]!r} if m in sys.modules], file=sys.stderr)"
+        )
+        for extra in ([], ["--jobs", "2"], ["--cache-dir", str(tmp_path)])
+    ]
+    assert runs[0].stdout == runs[1].stdout == runs[2].stdout
+    assert [run.stderr.rsplit("\n", 2)[-2] for run in runs] == ["[]"] * 3
+    assert any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize(

@@ -59,6 +59,17 @@ def test_is_p_regular_examples():
     assert not is_p_regular(P(6, 2), 3)
 
 
+def test_p_regular_partitions_match_filtered_enumeration():
+    # generated from the parts prime to p, in canonical order
+    for n in range(31):
+        for p in (2, 3, 5, 7):
+            expected = [lam for lam in partitions_of(n) if all(a % p for a in lam)]
+            assert list(p_regular_partitions(n, p)) == expected, (n, p)
+    assert list(p_regular_partitions(0, 2)) == [P()]
+    with pytest.raises(ValueError):
+        list(p_regular_partitions(-1, 3))
+
+
 def test_requires_prime():
     with pytest.raises(ValueError):
         p_prime_part(P(2, 1), 6)
