@@ -4,13 +4,13 @@ fiber-congruence and core-vanishing verification, and the census store.
 The census takes the zero count mod p of one column per p-regular label and
 reuses it across the label's whole fiber; that shortcut is itself verified
 exhaustively at small n by check_fiber_congruence.  The counts come from one
-trie walk over the labels' digit representatives (characters.zero_counts),
-the fiber members with the fewest parts, so no column is kept, and the store
-persists them as one file per (n, p).  With --jobs, workers are children
-forked from the census process, each taking whole groups of representatives
-that share their largest part; results are re-canonicalized after the
-parallel phase, and all emitted records are immutable, so output never
-depends on job count.
+zero_counts call over the trie of the labels' digit representatives, the
+fiber members with the fewest parts, so no column is kept and nothing
+outlives the call, and the store persists them as one file per (n, p).
+With --jobs, workers are children forked from the census process, each
+taking whole groups of representatives that share their largest part;
+results are re-canonicalized after the parallel phase, and all emitted
+records are immutable, so output never depends on job count.
 
 Nothing here loads a process pool, and the store's checksum (zlib) loads on
 first use, so a census without a store pays for neither at start-up.
@@ -25,7 +25,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
 
-from .characters import _build_move_tables, compute_column, zero_counts
+from .characters import compute_column, zero_counts
 from .cores import count_k_cores, is_k_core
 from .padic import (
     PowerBlockWitness,
@@ -325,20 +325,18 @@ def check_core_vanishing(n: int, k: int) -> CoreVanishReport:
 
 
 def _trie_census(n: int, p: int, labels: list[Partition], jobs: int) -> tuple[int, ...]:
-    # Zero counts in label order, from a trie walk over the labels' digit
+    # Zero counts in label order, from the trie of the labels' digit
     # representatives: a representative's column is congruent to its
     # label's, and it has the fewest parts in the fiber.  A unit of work is
     # the group of representatives that share their largest part t, and
     # costs about p(n - t) per representative; the shares are balanced by
-    # that cost.  The move tables are built first, so forked workers
-    # inherit them.
+    # that cost.
     representatives = [digit_representative(lam, p) for lam in labels]
     groups: dict[int, list[Partition]] = {}
     for rep in representatives:
         groups.setdefault(rep[0] if rep else 0, []).append(rep)
     workers = min(jobs, len(groups), os.cpu_count() or 1) if hasattr(os, "fork") else 1
     if workers > 1:
-        _build_move_tables([rep[::-1] for rep in representatives])
         cost = {t: len(group) * partition_count(n - t) for t, group in groups.items()}
         shares: list[list[Partition]] = [[] for _ in range(workers)]
         loads = [0] * workers
@@ -407,7 +405,7 @@ def table_census(n: int, p: int, jobs: int = 1, cache_dir=None) -> CensusResult:
     """Count the entries of the full character table of degree n divisible by p.
 
     Takes the zero count mod p of one column per p-regular label (from the
-    store under cache_dir, else by a trie walk over the labels' digit
+    store under cache_dir, else from the trie of the labels' digit
     representatives, optionally in parallel) and weights it by the label's
     fiber size.  Output is canonicalized after the
     parallel phase, so repeated runs and different job counts give identical
@@ -457,9 +455,9 @@ def threshold_experiment(n: int, p: int, c: float) -> list[ColumnDivisibilityRec
     """Divisibility records for every qualifying label's digit representative.
 
     For each p-regular label passing the threshold predicate, takes the zero
-    count of its digit representative's column from one trie walk over all
-    the representatives, builds its record and asserts the exact inequality
-    zero_count >= core_floor.  The asymptotic rate is only data.
+    count of its digit representative's column from one zero_counts call
+    over all the representatives, builds its record and asserts the exact
+    inequality zero_count >= core_floor.  The asymptotic rate is only data.
     """
     if n < 2:
         raise ValueError("n must be at least 2")

@@ -13,26 +13,24 @@ here forward, adding rim hooks instead of removing them:
 - for a whole column (compute_column): starting from the empty partition, a
   rim hook is added for each part of mu, smallest first, on n-bead masks (a
   bead x moves to a vacant x + t, and the leg is the number of beads it
-  jumps; _add_hooks).  One pass reaches every row; entries that cancel, mod
+  jumps; _hooks).  One pass reaches every row; entries that cancel, mod
   p if a modulus is set, are dropped after each part, so the rows left at
   the end are exactly the nonzero ones, and the column is those rows alone,
   each mask decoded back to its partition.  A column costs its nonzero
   rows, not the p(n) partitions of n.
-- over many classes, for zero counts mod p only (zero_counts): a class's
-  column is its parent's, the class without its largest part t, with one
-  more rim hook of length t added, and the classes that share t are taken
-  together.  Their parents' ascending parts form a trie, walked depth
-  first, so parents that share their smallest parts share that work.  A stage's vector has one
-  entry per partition of m, the parts added so far, indexed by its rank in
-  enumerate_partitions(m), and it steps through a move table cached per
-  (m, t) for the life of the process: for each source rank, the target
-  ranks reached with sign + and with sign -.  The last step, into n, builds
-  no table: up to _LANES parents' vectors ride as byte lanes of one Python
-  int per source partition, and each rim hook of length t is added once for
-  all of them on n-bead masks (_last_steps).
+- over many classes, for zero counts mod p only (zero_counts): the
+  classes' ascending parts form a trie, and a node of size m, the parts
+  added so far, reaches its child by one step (m, t) that adds a rim hook
+  of length t.  A node's vector has one entry per partition of m, indexed
+  by its rank in enumerate_partitions(m).  The nodes that share a step take
+  it together: up to _LANES vectors ride as byte lanes of one Python int
+  per source partition, and each rim hook of length t is added once for
+  all of them (_lane_step).  An inner step reads its targets back in rank
+  order and reduces every lane mod p at once; the step into n only counts
+  each class's nonzero rows.  Nothing outlives the call.
 
-compute_column's step, the move tables and the last step all take their
-moves from _hooks, so the bead-move and leg-sign rule lives in one function.
+Both routes add their hooks in one loop (_accumulate), and take their moves
+from _hooks, so the bead-move and leg-sign rule lives in one function.
 
 The backward recursion, which strips rim hooks one entry at a time, lives
 only in the tests, as the oracle both routes are checked against.
@@ -40,8 +38,7 @@ only in the tests, as the oracle both routes are checked against.
 
 from __future__ import annotations
 
-from functools import lru_cache
-from itertools import compress, islice
+from collections import Counter
 
 # Nothing in the package calls this; it is bound here only for the benchmark
 # tracer's probe hook, and goes when the benchmark drops that hook.
@@ -57,11 +54,10 @@ class MemoCache:
     compute_column: after each part, misses grow by the distinct states
     reached and hits by the moves that merged into a state already reached;
     table ends as the last vector built, the nonzero rows keyed by bead
-    mask.  zero_counts' move tables: misses grow by the entries built.  Its
-    walk: after each part, misses grow by the nonzero rows kept and hits by
-    the other moves; table ends as the last vector, one entry per row.  Its
-    last steps: misses grow by the nonzero rows kept, over all lanes, and
-    hits by the other moves, counting each move once per lane.
+    mask.  zero_counts: after each chunk of nodes that share a step, misses
+    grow by the nonzero rows kept, over all lanes, and hits by the other
+    moves, counting each move once per lane; table ends as the last vector
+    of an inner step, one entry per row.
     """
 
     __slots__ = ("table", "hits", "misses")
@@ -92,7 +88,13 @@ def compute_column(n: int, mu, modulus: int | None = None) -> dict[Partition, in
     cache = MemoCache()
     states = {(1 << n) - 1: 1}
     for t in reversed(mu):
-        states = _add_hooks(states, t, modulus, cache)
+        reached, moves = _accumulate(states.items(), t, modulus or 0)
+        cache.misses += len(reached)
+        cache.hits += moves - len(reached)
+        if modulus is None:
+            states = {key: v for key, v in reached.items() if v}
+        else:
+            states = {key: r for key, v in reached.items() if (r := v % modulus)}
     cache.table = states
     return {_mask_partition(mask): value for mask, value in states.items()}
 
@@ -101,115 +103,118 @@ def zero_counts(n: int, labels, p: int) -> tuple[int, ...]:
     """Zero count mod a prime p of the column of each class in labels, all
     partitions of n, in the order given.
 
-    A class's column is its parent's, the class without its largest part t,
-    with one more rim hook of length t added.  The classes that share t are
-    taken together: the trie of their parents, written with ascending parts,
-    is walked depth first over cached move tables (_walk), and each chunk of
-    parents takes its last step in lanes (_last_steps), so no table into n
-    is built.
+    The classes' ascending parts form a trie: a node of size m, the parts
+    added so far, takes a step (m, t) to its child by adding a rim hook of
+    length t, and the nodes that share a step take it together in lanes
+    (_lane_step).  A node's vector has one entry per partition of m, in
+    enumerate_partitions(m) order; the step into n keeps no vector, only
+    each class's count of nonzero rows.  Each size's bead masks are built
+    once per call, and every vector and mask is dropped after the last step
+    that reads it.
     """
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p!r}")
     if any(Partition(lam).n != n for lam in labels):
         raise ValueError(f"every class must be a partition of {n}")
-    classes = sorted({tuple(lam)[::-1] for lam in labels})
-    _build_move_tables(classes)
-    groups: dict[int, list[tuple]] = {}
-    for parts in classes:
-        if parts:
-            groups.setdefault(parts[-1], []).append(parts)
+    # The trie of the classes' ascending parts: node 0 is the empty prefix,
+    # and its other nodes are numbered as they are met.
+    child: dict[tuple[int, int], int] = {}  # (node, t) -> the node plus a part t
+    steps: dict[tuple[int, int], list] = {}  # (m, t) -> the nodes of size m that add t
+    ends = []  # the node of each class
+    for lam in labels:
+        node = m = 0
+        for t in reversed(lam):
+            if (node, t) not in child:
+                child[node, t] = len(child) + 1
+                steps.setdefault((m, t), []).append(node)
+            node = child[node, t]
+            m += t
+        ends.append(node)
+    # A step into n runs once its nodes' vectors exist, any other just before
+    # its target size is stepped from: what waits is the shorter vectors of
+    # the parents, each dropped after its node's last step.
+    order = sorted(steps, key=lambda step: (sum(step) if sum(step) < n else step[0], step))
+    last = {m: i for i, (m, _) in enumerate(order)}  # after which a size's masks go
+    left = Counter(node for node, _ in child)  # node -> the steps it has yet to take
     cache = MemoCache()
-    counts = {(): 0}  # n = 0: the one class has the column (1)
-    for t, members in groups.items():
-        # the members are sorted and of one size, so their parents are sorted
-        vectors = _walk([parts[:-1] for parts in members], p, cache)
-        counts.update(zip(members, _last_steps(n, t, vectors, p, cache)))
-    return tuple(counts[tuple(lam)[::-1]] for lam in labels)
+    counts = {0: 0}  # n = 0: the one class has the column (1)
+    vectors = {0: (bytes if p < 256 else tuple)((1,))}
+    masks = {0: _row_masks(0)}  # size -> the bead masks of its partitions
+    total = partition_count(n)
+    for i, (m, t) in enumerate(order):
+        k = m + t
+        if k < n and k not in masks:
+            masks[k] = _row_masks(k)
+        parents = steps.pop((m, t))
+        # a partition of k is reached by at most k // t moves, one per t-hook
+        # it has, each adding at most p to a lane
+        lanes = _LANES if p * (k // t) < 256 else 1
+        for start in range(0, len(parents), lanes):
+            chunk = parents[start:start + lanes]
+            left.subtract(chunk)
+            inputs = [vectors[node] if left[node] else vectors.pop(node) for node in chunk]
+            reached, moves = _lane_step(masks[m], t, inputs, p)
+            children = [child[node, t] for node in chunk]
+            if k == n:
+                nonzero = _nonzero_lanes(reached, len(chunk), p)
+                counts.update(zip(children, [total - kept for kept in nonzero]))
+            else:
+                built = _reduce_lanes(reached, masks[k], len(chunk), p)
+                nonzero = [len(v) - v.count(0) for v in built]
+                vectors.update(zip(children, built))
+                cache.table = built[-1]
+            cache.misses += sum(nonzero)
+            cache.hits += moves * len(chunk) - sum(nonzero)
+        if last[m] == i:
+            del masks[m]
+    return tuple(counts[node] for node in ends)
 
 
-def _walk(parents: list, p: int, cache: MemoCache):
-    # The vector of each parent, given as sorted ascending part tuples, in
-    # order: the vector after parts summing to m has one entry per partition
-    # of m, in enumerate_partitions(m) order, and a trie node adds one rim
-    # hook of length t to its parent's through the move table of (m, t).
-    # Only the vectors on the current path are alive; each is yielded as
-    # bytes while p fits a byte.
-    pack = bytes if p < 256 else tuple
-    path = [[1]]  # path[i]: the vector after the i smallest parts
-    sums = [0]  # sums[i]: the size of those parts
-    previous: tuple = ()
-    for parts in parents:
-        shared = 0
-        while shared < min(len(parts), len(previous)) and parts[shared] == previous[shared]:
-            shared += 1
-        del path[shared + 1:], sums[shared + 1:]
-        for t in parts[shared:]:
-            m = sums[-1]
-            path.append(_table_step(path[-1], _MOVE_TABLES[m, t], partition_count(m + t), p, cache))
-            sums.append(m + t)
-        yield pack(path[-1])
-        previous = parts
-    cache.table = path[-1]
-
-
-# Classes that share their largest part take their last step in lanes of one
-# Python int per source partition, at most this many classes to an int.
+# Trie nodes that share a step take it in lanes of one Python int per source
+# partition, at most this many nodes to an int.
 _LANES = 128
 
 
-def _last_steps(n: int, t: int, parents, p: int, cache: MemoCache) -> list[int]:
-    """Zero counts of the classes whose parents, partitions of m = n - t, have
-    the vectors that parents yields, after one more rim hook of length t.
-
-    Lane j of a source's int holds parent j's value there, one byte each:
-    a + move adds the int, a - move adds pones - int, which is p - v >= 1 in
-    every lane, so no lane borrows from the next.  A target partition of n
-    is reached by at most n // t moves, one per t-hook it has, so a lane's
-    sum is at most p * (n // t); while that is below 256, bytes.translate
-    then reduces every lane mod p at once.  Otherwise each class takes its
-    step alone, in one unbounded int.  Targets never reached are zero.
-    """
-    parents = iter(parents)
-    m = n - t
-    size = partition_count(m)
-    total = partition_count(n)
+def _lane_step(sources: tuple, t: int, vectors: list, p: int) -> tuple[dict, int]:
+    # _accumulate over the partitions of m, given by their m-bead masks, for
+    # the nodes with these vectors.  Lane j of a source's int holds node j's
+    # value there, one byte each, and a - move adds pones - int: p - v >= 1
+    # in every lane, so no lane borrows from the next while its sum stays
+    # below 256.  A node alone takes the step in one unbounded int.
+    if len(vectors) == 1:
+        rows, negative = vectors[0], p
+    else:
+        matrix = b"".join(vectors)
+        rows = (int.from_bytes(matrix[r::len(sources)], "little") for r in range(len(sources)))
+        negative = int.from_bytes(bytes((p,)) * len(vectors), "little")
+    # m + t beads hold every partition of m + t: shift past t more beads
     fill = (1 << t) - 1
-    sources = [(mask << t) | fill for mask in _row_masks(m)]
-    lanes = _LANES if p * (n // t) < 256 else 1
-    counts = []
-    while chunk := list(islice(parents, lanes)):
-        k = len(chunk)
-        if lanes > 1:
-            matrix = b"".join(chunk)
-            rows = (int.from_bytes(matrix[r::size], "little") for r in range(size))
-            pones = int.from_bytes(bytes((p,)) * k, "little")
-        else:
-            rows, pones = chunk[0], p
-        reached: dict = {}
-        get = reached.get
-        moves = 0
-        for source, lane in zip(sources, rows):
-            if lane:
-                plus, minus = _hooks(source, t)
-                moves += len(plus) + len(minus)
-                for key in plus:
-                    reached[key] = get(key, 0) + lane
-                lane = pones - lane
-                for key in minus:
-                    reached[key] = get(key, 0) + lane
-        if lanes > 1:
-            nonzero = _nonzero_lanes(list(reached.values()), k, p)
-        else:
-            nonzero = [sum(1 for v in reached.values() if v % p)]
-        cache.misses += sum(nonzero)
-        cache.hits += moves * k - sum(nonzero)
-        counts += [total - kept for kept in nonzero]
-    return counts
+    return _accumulate(zip([(mask << t) | fill for mask in sources], rows), t, negative)
 
 
-def _nonzero_lanes(values: list, k: int, p: int) -> list[int]:
-    # For each of the k byte lanes, how many of values are nonzero mod p
-    # there; values are reduced 1024 at a time, which bounds the bytes alive.
+def _reduce_lanes(reached: dict, targets: tuple, k: int, p: int) -> list:
+    # Each of the k lanes' vector mod p over targets, bead masks in rank
+    # order; targets never reached are zero.  Lane ints are reduced 1024
+    # targets at a time, which bounds the bytes alive.
+    if k == 1:
+        vector = [reached.pop(mask, 0) % p for mask in targets]
+        return [bytes(vector) if p < 256 else tuple(vector)]
+    table = bytes(x % p for x in range(256))
+    blocks: list[list] = [[] for _ in range(k)]
+    for start in range(0, len(targets), 1024):
+        flat = b"".join([reached.pop(mask, 0).to_bytes(k, "little")
+                         for mask in targets[start:start + 1024]]).translate(table)
+        for j, block in enumerate(blocks):
+            block.append(flat[j::k])
+    return [b"".join(block) for block in blocks]
+
+
+def _nonzero_lanes(reached: dict, k: int, p: int) -> list[int]:
+    # For each of the k lanes, how many reached values are nonzero mod p
+    # there, reduced 1024 at a time as in _reduce_lanes.
+    values = list(reached.values())
+    if k == 1:
+        return [sum(1 for v in values if v % p)]
     table = bytes(int(x % p == 0) for x in range(256))
     nonzero = [len(values)] * k
     for start in range(0, len(values), 1024):
@@ -217,62 +222,6 @@ def _nonzero_lanes(values: list, k: int, p: int) -> list[int]:
         for j in range(k):
             nonzero[j] -= flat[j::k].count(1)
     return nonzero
-
-
-# (m, t) -> (plus, minus): for the partition of rank r of m, plus[r] and
-# minus[r] are the ranks of the partitions of m + t that adding a rim hook of
-# length t reaches with sign + and sign -.  Tables do not depend on n, so the
-# cache serves every census of the process; workers forked after
-# _build_move_tables inherit it.
-_MOVE_TABLES: dict[tuple[int, int], tuple[list, list]] = {}
-
-
-def _build_move_tables(classes) -> None:
-    """Cache the move table of every stage that the trie of classes, given
-    as ascending part tuples, steps through before each class's largest
-    part."""
-    wanted: dict[int, set[int]] = {}  # m + t -> the m to build tables from
-    for parts in classes:
-        m = 0
-        for t in parts[:-1]:
-            if (m, t) not in _MOVE_TABLES:
-                wanted.setdefault(m + t, set()).add(m)
-            m += t
-    cache = MemoCache()
-    for k in sorted(wanted):
-        rank = {mask: r for r, mask in enumerate(_row_masks(k))}.__getitem__
-        for m in sorted(wanted[k]):
-            # A partition of k has at most k parts, so k beads hold every
-            # source and target: a source's k-bead mask is its m-bead mask
-            # shifted past t more beads.
-            t = k - m
-            fill = (1 << t) - 1
-            plus, minus = [], []
-            for mask in _row_masks(m):
-                up, down = _hooks((mask << t) | fill, t)
-                cache.misses += len(up) + len(down)
-                plus.append(tuple(map(rank, up)))
-                minus.append(tuple(map(rank, down)))
-            _MOVE_TABLES[m, t] = (plus, minus)
-
-
-def _table_step(vector: list, table: tuple, size: int, p: int, cache: MemoCache) -> list:
-    # One trie node: add v at each + target of a nonzero source of value v
-    # and -v = p - v at each - target, then reduce mod p.
-    plus, minus = table
-    out = [0] * size
-    for r, v in enumerate(vector):
-        if v:
-            for d in plus[r]:
-                out[d] += v
-            v = p - v
-            for d in minus[r]:
-                out[d] += v
-    out = [x % p for x in out]
-    kept = size - out.count(0)
-    cache.misses += kept
-    cache.hits += sum(map(len, compress(plus, vector))) + sum(map(len, compress(minus, vector))) - kept
-    return out
 
 
 def _hooks(mask: int, t: int) -> tuple[list, list]:
@@ -293,27 +242,26 @@ def _hooks(mask: int, t: int) -> tuple[list, list]:
     return plus, minus
 
 
-def _add_hooks(states: dict, t: int, modulus: int | None, cache: MemoCache) -> dict:
-    # One forward MN step: every way of adding a rim hook of length t to each
-    # state, summed per new state, then reduced and stripped of zeros.
+def _accumulate(pairs, t: int, negative: int) -> tuple[dict, int]:
+    # Every rim hook of length t added to the mask of each (mask, value) pair
+    # with a nonzero value, summed per new mask, and the number of moves: a +
+    # move adds value, a - move negative - value, where negative is 0 for
+    # exact values, p for values mod p and p in every lane for lane ints.
     reached: dict = {}
     get = reached.get
     moves = 0
-    for mask, value in states.items():
-        plus, minus = _hooks(mask, t)
-        moves += len(plus) + len(minus)
-        for key in plus:
-            reached[key] = get(key, 0) + value
-        for key in minus:
-            reached[key] = get(key, 0) - value
-    cache.misses += len(reached)
-    cache.hits += moves - len(reached)
-    if modulus is None:
-        return {key: v for key, v in reached.items() if v}
-    return {key: r for key, v in reached.items() if (r := v % modulus)}
+    for mask, value in pairs:
+        if value:
+            plus, minus = _hooks(mask, t)
+            moves += len(plus) + len(minus)
+            for key in plus:
+                reached[key] = get(key, 0) + value
+            value = negative - value
+            for key in minus:
+                reached[key] = get(key, 0) + value
+    return reached, moves
 
 
-@lru_cache(maxsize=8)
 def _row_masks(n: int) -> tuple[int, ...]:
     # The n-bead mask of each partition of n, in enumerate_partitions(n) order:
     # the beads of its parts, shifted past one bead per zero part.

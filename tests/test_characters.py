@@ -9,7 +9,7 @@ from conftest import dense, partitions_of
 from snchar import characters
 from snchar.characters import compute_column, zero_counts
 from snchar.cores import is_k_core, multipartition_count
-from snchar.padic import p_adic_digits
+from snchar.padic import digit_representative, p_adic_digits, p_regular_partitions
 from snchar.partitions import Partition, enumerate_partitions, partition_count
 
 
@@ -204,8 +204,8 @@ def test_memo_cache_statistics(monkeypatch):
     for _ in range(2):
         made.clear()
         zero_counts(12, partitions_of(12), 3)
-        walk = made[-1]  # the move-table build before the walk has a cache of its own
-        runs.append((walk.hits, walk.misses, len(walk.table)))
+        assert len(made) == 1  # one set of counters for every step of the call
+        runs.append((made[0].hits, made[0].misses, len(made[0].table)))
     assert runs[0][1] > 0
     assert runs[0] == runs[1]
 
@@ -219,9 +219,9 @@ def test_zero_counts_any_classes_in_given_order():
             assert zero_counts(n, classes, p) == expected
 
 
-def test_zero_counts_move_tables_match_mask_step_on_random_pairs():
-    # zero_counts steps through rank-indexed move tables; compute_column adds
-    # the same hooks on bead masks
+def test_zero_counts_one_class_steps_match_compute_column_on_random_pairs():
+    # a class alone takes every step of its trie path in one unbounded int
+    # and reads its vectors by partition rank; compute_column keeps bead masks
     rng = random.Random(2019)
     for _ in range(200):
         n = rng.randint(14, 24)
@@ -255,6 +255,54 @@ def test_zero_counts_lane_chunk_boundaries(extra):
     for p in (2, 3):
         expected = tuple(dense(compute_column(n, mu, p), n).count(0) for mu in classes)
         assert zero_counts(n, classes, p) == expected, p
+
+
+@pytest.mark.parametrize("extra", [0, 1], ids=["lanes", "lanes-plus-one"])
+def test_zero_counts_inner_lane_chunk_boundaries(extra):
+    # the classes (t, t) + alpha, for alpha a partition of m with parts at
+    # most t, share the inner step (m, t) into m + t < n = m + 2t: exactly
+    # _LANES of them fill one lane int, and one more starts a second
+    lanes = characters._LANES
+    m, t = min(((m, t) for m in range(1, 30) for t in range(1, m + 1)
+                if sum(alpha[0] <= t for alpha in partitions_of(m)) >= lanes + 1),
+               key=lambda step: step[0] + 2 * step[1])
+    n = m + 2 * t
+    classes = [P(t, t, *alpha) for alpha in partitions_of(m) if alpha[0] <= t][:lanes + extra]
+    assert len(classes) == lanes + extra
+    for p in (2, 3):
+        expected = tuple(dense(compute_column(n, mu, p), n).count(0) for mu in classes)
+        assert zero_counts(n, classes, p) == expected, p
+
+
+@pytest.mark.parametrize("n, p", [(24, 2), (22, 3)])
+def test_zero_counts_builds_each_sizes_masks_once(monkeypatch, n, p):
+    # a size's bead masks serve every step into it and out of it in a call
+    asked = Counter()
+    real = characters._row_masks
+
+    def counting(size):
+        asked[size] += 1
+        return real(size)
+
+    monkeypatch.setattr(characters, "_row_masks", counting)
+    representatives = [digit_representative(lam, p) for lam in p_regular_partitions(n, p)]
+    for classes in (representatives, partitions_of(n)):
+        asked.clear()
+        zero_counts(n, classes, p)
+        assert asked and max(asked.values()) == 1, sorted(size for size, k in asked.items() if k > 1)
+
+
+def test_zero_counts_keeps_no_process_wide_state():
+    # nothing a call builds outlives it: no module-level container grows, and
+    # no function of the module caches its results
+    def containers():
+        return {name: len(value) for name, value in vars(characters).items()
+                if isinstance(value, (dict, list, set)) and not name.startswith("__")}
+
+    before = containers()
+    zero_counts(24, partitions_of(24), 2)
+    assert containers() == before
+    assert not [name for name, value in vars(characters).items() if hasattr(value, "cache_info")]
 
 
 @pytest.mark.parametrize("p", [131, 257])
