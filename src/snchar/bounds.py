@@ -30,10 +30,10 @@ class BoundReport(NamedTuple):
     slack: Fraction | None
 
 
-def _slack(lhs, rhs) -> Fraction | None:
-    if rhs == 0:
-        return None
-    return Fraction(lhs, rhs)
+def _report(check: str, params: dict[str, object], lhs, rhs, relation: str) -> BoundReport:
+    holds = lhs <= rhs if relation == "<=" else lhs == rhs
+    slack = Fraction(lhs, rhs) if rhs else None
+    return BoundReport(check, params, lhs, rhs, relation, holds, slack)
 
 
 def check_multipartition_growth(k: int, m: int) -> BoundReport:
@@ -44,15 +44,7 @@ def check_multipartition_growth(k: int, m: int) -> BoundReport:
         raise ValueError("m must be positive")
     lhs = multipartition_count(k, m)
     rhs = (k + 1) * multipartition_count(k, m - 1)
-    return BoundReport(
-        check="multipartition-growth",
-        params={"k": k, "m": m},
-        lhs=lhs,
-        rhs=rhs,
-        relation="<=",
-        holds=lhs <= rhs,
-        slack=_slack(lhs, rhs),
-    )
+    return _report("multipartition-growth", {"k": k, "m": m}, lhs, rhs, "<=")
 
 
 def check_core_deficit(n: int, k: int) -> BoundReport:
@@ -61,15 +53,7 @@ def check_core_deficit(n: int, k: int) -> BoundReport:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     lhs = partition_count(n) - count_k_cores(n, k)
     rhs = (k + 1) * partition_count(n - k)
-    return BoundReport(
-        check="core-deficit",
-        params={"n": n, "k": k},
-        lhs=lhs,
-        rhs=rhs,
-        relation="<=",
-        holds=lhs <= rhs,
-        slack=_slack(lhs, rhs),
-    )
+    return _report("core-deficit", {"n": n, "k": k}, lhs, rhs, "<=")
 
 
 def check_core_fiber_identity(n: int, k: int) -> BoundReport:
@@ -88,15 +72,7 @@ def check_core_fiber_identity(n: int, k: int) -> BoundReport:
         count_k_cores(n - m * k, k) * multipartition_count(k, m)
         for m in range(1, n // k + 1)
     )
-    return BoundReport(
-        check="fiber-identity",
-        params={"n": n, "k": k},
-        lhs=lhs,
-        rhs=rhs,
-        relation="==",
-        holds=lhs == rhs,
-        slack=_slack(lhs, rhs),
-    )
+    return _report("fiber-identity", {"n": n, "k": k}, lhs, rhs, "==")
 
 
 def core_density_report(n: int, k: int, c: float) -> BoundReport:
@@ -117,15 +93,8 @@ def core_density_report(n: int, k: int, c: float) -> BoundReport:
     rhs = Fraction((k + 1) * partition_count(n - k), pn) if k <= n else Fraction(0)
     k_meets = k >= c * math.sqrt(n) * math.log(n)
     lhs = 1 - Fraction(count_k_cores(n, k), pn)
-    return BoundReport(
-        check="core-density",
-        params={"n": n, "k": k, "c": c, "k_meets_threshold": k_meets},
-        lhs=lhs,
-        rhs=rhs,
-        relation="<=",
-        holds=lhs <= rhs,
-        slack=_slack(lhs, rhs),
-    )
+    params = {"n": n, "k": k, "c": c, "k_meets_threshold": k_meets}
+    return _report("core-density", params, lhs, rhs, "<=")
 
 
 class GrowthEnvelopeReport(NamedTuple):

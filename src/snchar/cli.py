@@ -202,23 +202,20 @@ def cmd_theorem_check(args) -> int:
 
 def cmd_verify_bounds(args) -> int:
     rows = []
-    failed = False
     if args.lemma == "1":
         for k in range(1, args.max_k + 1):
             for m in range(1, args.max_m + 1):
                 rows.append(_bound_report_row(bounds.check_multipartition_growth(k, m)))
-    elif args.lemma == "2":
-        for n in range(1, args.max_n + 1):
+    elif args.lemma in ("2", "fiber", "3"):
+        # each (n, k) sweep: its first n and its report
+        first_n, check = {
+            "2": (1, bounds.check_core_deficit),
+            "fiber": (1, bounds.check_core_fiber_identity),
+            "3": (2, lambda n, k: bounds.core_density_report(n, k, args.c)),
+        }[args.lemma]
+        for n in range(first_n, args.max_n + 1):
             for k in range(1, min(n, args.max_k or n) + 1):
-                rows.append(_bound_report_row(bounds.check_core_deficit(n, k)))
-    elif args.lemma == "fiber":
-        for n in range(1, args.max_n + 1):
-            for k in range(1, min(n, args.max_k or n) + 1):
-                rows.append(_bound_report_row(bounds.check_core_fiber_identity(n, k)))
-    elif args.lemma == "3":
-        for n in range(2, args.max_n + 1):
-            for k in range(1, min(n, args.max_k or n) + 1):
-                rows.append(_bound_report_row(bounds.core_density_report(n, k, args.c)))
+                rows.append(_bound_report_row(check(n, k)))
     elif args.lemma == "hr":
         for m in range(1, args.max_m + 1):
             report = bounds.growth_envelope_report(m)

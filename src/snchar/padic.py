@@ -16,7 +16,7 @@ from typing import Iterator, NamedTuple, Optional
 
 # enumerate_partitions is bound here only for the benchmark tracer's hook on
 # padic.enumerate_partitions, and goes when the benchmark re-points that hook.
-from .partitions import Partition, enumerate_partitions, exponent_form  # noqa: F401
+from .partitions import Partition, _partitions, enumerate_partitions, exponent_form  # noqa: F401
 
 # Comparisons against the real-valued threshold are biased toward accepting by
 # this relative tolerance, so float noise can never exclude a boundary case.
@@ -77,61 +77,23 @@ def is_p_regular(lam, p: int) -> bool:
 def p_regular_partitions(n: int, p: int) -> Iterator[Partition]:
     """Partitions of n with no part divisible by p, in canonical order.
 
-    Built from the parts prime to p alone, stepping the way
-    enumerate_partitions does: lower the last part above 1 to the next
-    part prime to p, then refill greedily.  1 is always such a part, so no
-    remainder is ever stuck and no other partition of n is visited.
+    Stepped over the parts prime to p alone, so no other partition of n is
+    visited: the largest such part at most x is x, or x - 1 when p divides x.
     """
     _require_prime(p)
     if n < 0:
         raise ValueError("n must be non-negative")
-    parts: list[int] = []
-    rest = top = n  # size still to fill, and the largest part allowed
-    while True:
-        while rest:
-            a = min(top, rest)
-            if a % p == 0:
-                a -= 1
-            parts.append(a)
-            rest -= a
-            top = a
-        yield Partition._unchecked(tuple(parts))
-        i = len(parts) - 1
-        while i >= 0 and parts[i] == 1:
-            i -= 1
-        if i < 0:
-            return
-        top = parts[i] - 1
-        if top % p == 0:
-            top -= 1
-        rest = parts[i] + len(parts) - 1 - i - top
-        parts[i] = top
-        del parts[i + 1:]
+    return _partitions(n, [x - (x % p == 0) for x in range(n + 1)])
 
 
 @lru_cache(maxsize=None)
-def _power_partitions(b: int, p: int) -> tuple[tuple[int, ...], ...]:
-    # Partitions of b into powers of p, parts descending, largest powers first.
-    powers = []
-    q = 1
-    while q <= b:
-        powers.append(q)
-        q *= p
-    powers.reverse()
-    out: list[tuple[int, ...]] = []
-
-    def rec(remaining: int, idx: int, acc: list[int]) -> None:
-        if remaining == 0:
-            out.append(tuple(acc))
-            return
-        if idx == len(powers):
-            return
-        q = powers[idx]
-        for count in range(remaining // q, -1, -1):
-            rec(remaining - count * q, idx + 1, acc + [q] * count)
-
-    rec(b, 0, [])
-    return tuple(out)
+def _power_partitions(b: int, p: int) -> tuple[Partition, ...]:
+    # Partitions of b into powers of p, in canonical order: below[x] is the
+    # largest power of p that is at most x.
+    below = [1]
+    for x in range(1, b + 1):
+        below.append(below[-1] * p if below[-1] * p == x else below[-1])
+    return tuple(_partitions(b, below))
 
 
 @lru_cache(maxsize=None)

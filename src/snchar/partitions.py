@@ -1,6 +1,9 @@
 """Partition data model: enumeration, exact counting, exponent form, and the
 bead encoding the abacus code runs on.
 
+One stepper, _partitions, yields the partitions of n whose parts lie in an
+allowed set, in reverse-lexicographic order: enumerate_partitions allows every
+part, and padic steps it over the parts prime to p and over the powers of p.
 Everything here is exact integer arithmetic; counting never touches floats.
 A partition with r parts lam_1 >= ... >= lam_r has the beads
 lam_i + r - i (_beta_mask packs them into a bitmask, _parts_from_beads
@@ -70,6 +73,31 @@ class Partition(tuple):
         return f"Partition({tuple(self)!r})"
 
 
+def _partitions(n: int, below) -> Iterator[Partition]:
+    # The partitions of n whose parts all lie in an allowed set, in
+    # reverse-lexicographic order.  below[x] is the largest allowed part <= x;
+    # 1 must be allowed, so the greedy refill never gets stuck.  Each step
+    # lowers the last part above 1 to the next allowed part and refills the
+    # rest greedily.
+    parts: list[int] = []
+    rest = top = n  # size still to fill, and the largest part allowed
+    while True:
+        while rest:
+            top = below[top if top < rest else rest]
+            parts.append(top)
+            rest -= top
+        yield Partition._unchecked(tuple(parts))
+        i = len(parts) - 1
+        while i >= 0 and parts[i] == 1:
+            i -= 1
+        if i < 0:
+            return
+        top = below[parts[i] - 1]
+        rest = parts[i] - top + len(parts) - 1 - i  # what parts[i] gives up, and its trailing ones
+        parts[i] = top
+        del parts[i + 1:]
+
+
 def enumerate_partitions(n: int) -> Iterator[Partition]:
     """Yield every partition of n exactly once, in reverse-lexicographic order.
 
@@ -78,25 +106,7 @@ def enumerate_partitions(n: int) -> Iterator[Partition]:
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    if n == 0:
-        yield Partition._unchecked(())
-        return
-    parts = [n]
-    while True:
-        yield Partition._unchecked(tuple(parts))
-        i = len(parts) - 1
-        while i >= 0 and parts[i] == 1:
-            i -= 1
-        if i < 0:
-            return
-        val = parts[i] - 1
-        rem = len(parts) - i  # trailing ones plus the unit taken from parts[i]
-        parts[i] = val
-        del parts[i + 1:]
-        while rem > 0:
-            t = val if val < rem else rem
-            parts.append(t)
-            rem -= t
+    return _partitions(n, list(range(n + 1)))
 
 
 _count_memo = [1]

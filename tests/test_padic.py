@@ -4,10 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _oracles import brute_partitions
 from conftest import partitions_of, partitions_st
 from snchar.padic import (
     C_MIN,
     ThresholdParams,
+    _power_partitions,
     digit_representative,
     few_distinct_parts,
     fiber_partitions,
@@ -60,11 +62,17 @@ def test_is_p_regular_examples():
 
 
 def test_p_regular_partitions_match_filtered_enumeration():
-    # generated from the parts prime to p, in canonical order
+    # the labels step over the parts prime to p and the fibers over the
+    # powers of p; both in canonical order, against the oracle's own listing
     for n in range(31):
+        everything = brute_partitions(n)
         for p in (2, 3, 5, 7):
-            expected = [lam for lam in partitions_of(n) if all(a % p for a in lam)]
+            expected = [lam for lam in everything if all(a % p for a in lam)]
             assert list(p_regular_partitions(n, p)) == expected, (n, p)
+        for p in (2, 3, 5):
+            powers = {p ** e for e in range(n + 1)}
+            expected = [lam for lam in everything if all(a in powers for a in lam)]
+            assert list(_power_partitions(n, p)) == expected, (n, p)
     assert list(p_regular_partitions(0, 2)) == [P()]
     with pytest.raises(ValueError):
         list(p_regular_partitions(-1, 3))
