@@ -16,7 +16,7 @@ import csv
 import sys
 
 from snchar.bounds import core_density_report, growth_envelope_report
-from snchar.census import DEFAULT_C
+from snchar.padic import DEFAULT_C
 
 
 def parse_args(argv=None) -> argparse.Namespace:

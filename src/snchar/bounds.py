@@ -2,8 +2,10 @@
 
 Every comparison here is exact big-integer or rational arithmetic; floats
 appear only in diagnostic output fields.  Core counts come from their
-generating function, so every check is exact at any n; the fiber identity
-ties them to the pentagonal recurrence and the multipartition convolution.
+generating function, so every check is exact at any n; its series for each k
+is built once and shared by every n of a sweep.  The fiber identity ties
+those counts to the pentagonal recurrence and the multipartition
+convolution, which shares nothing with that series but p(n).
 """
 
 from __future__ import annotations

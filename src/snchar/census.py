@@ -28,6 +28,7 @@ from typing import NamedTuple
 from .characters import compute_column, zero_counts
 from .cores import count_k_cores, is_k_core
 from .padic import (
+    DEFAULT_C,
     PowerBlockWitness,
     ThresholdParams,
     _require_prime,
@@ -41,11 +42,6 @@ from .padic import (
     power_block_witness,
 )
 from .partitions import Partition, enumerate_partitions, partition_count
-
-# Scale constant used when a record needs the threshold predicates and the
-# caller does not supply one.  Any value above sqrt(3/2)/pi works; 0.4 keeps
-# the threshold low, so more columns qualify.
-DEFAULT_C = 0.4
 
 CACHE_VERSION = 3
 _CACHE_MAGIC = "snchar-census"
@@ -141,10 +137,11 @@ class CoreVanishReport(NamedTuple):
         return not self.violations
 
 
-class ColumnCacheError(Exception):
+class ColumnCacheError(ValueError):
     """A census store that cannot be used: its directory cannot be made, or a
     stored file cannot be read, has an unsupported version, fails its
-    checksum or does not hold the key, labels or counts asked for."""
+    checksum or does not hold the key, labels or counts asked for.  A
+    ValueError, so the command line exits 2 on it as on any other bad input."""
 
 
 def _checksum(body: str) -> str:

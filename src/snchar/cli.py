@@ -4,44 +4,57 @@ fiber checks, bound sweeps, and core-vanishing verification.
 Output is CSV (default) or JSON on stdout; progress and cache statistics go
 to stderr.  Exit codes: 0 all checks passed, 1 some verification failed,
 2 invalid input.
+
+Each command imports the modules it runs when it runs, so a bound sweep never
+loads the census kernel and a census never loads the bound checkers; json
+loads only for --format json.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import json
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from . import bounds, census, padic
+from .padic import DEFAULT_C
 from .partitions import Partition, partition_count
+
+if TYPE_CHECKING:
+    from . import bounds, census
+
+
+def _fraction_text(value: Fraction) -> str:
+    return f"{value.numerator}/{value.denominator}"
+
+
+# Cell formats by exact type: a dict lookup instead of an isinstance chain,
+# which for Fraction goes through ABCMeta.__instancecheck__.  bool is its own
+# key, so it never reads as int; every other type prints as str().
+_CSV_CELL = {
+    type(None): lambda value: "",
+    bool: lambda value: "true" if value else "false",
+    Fraction: _fraction_text,
+    float: lambda value: f"{value:.12g}",
+    Partition: Partition.to_text,
+}
+_JSON_CELL = {Fraction: _fraction_text, Partition: Partition.to_text}
 
 
 def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
-    if isinstance(value, float):
-        return f"{value:.12g}"
-    if isinstance(value, Partition):
-        return value.to_text()
-    return str(value)
+    return _CSV_CELL.get(type(value), str)(value)
 
 
 def _json_cell(value):
-    if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
-    if isinstance(value, Partition):
-        return value.to_text()
-    return value
+    cell = _JSON_CELL.get(type(value))
+    return value if cell is None else cell(value)
 
 
 def _emit(rows: list[dict], fmt: str, comment: str | None = None) -> None:
     if fmt == "json":
+        import json
+
         payload = [{k: _json_cell(v) for k, v in row.items()} for row in rows]
         print(json.dumps(payload, indent=2))
         return
@@ -91,12 +104,16 @@ def _bound_report_row(report: bounds.BoundReport) -> dict:
 
 
 def cmd_column(args) -> int:
+    from . import census
+
     rec = census.column_divisibility(args.n, args.p, Partition.from_text(args.mu), c=args.c)
     _emit([_column_record_row(rec)], args.format)
     return 0
 
 
 def cmd_census(args) -> int:
+    from . import census
+
     result = census.table_census(args.n, args.p, jobs=args.jobs, cache_dir=args.cache_dir)
     record = result.record
     total = partition_count(args.n)
@@ -124,6 +141,8 @@ def cmd_census(args) -> int:
         file=sys.stderr,
     )
     if args.format == "json":
+        import json
+
         payload = {
             "record": {
                 "n": record.n,
@@ -142,6 +161,8 @@ def cmd_census(args) -> int:
 
 
 def cmd_fibers(args) -> int:
+    from . import census, padic
+
     failed = False
     if args.lam is not None:
         lam = Partition.from_text(args.lam)
@@ -177,6 +198,8 @@ def cmd_fibers(args) -> int:
 
 
 def cmd_theorem_check(args) -> int:
+    from . import padic
+
     if args.lam is not None:
         lam = Partition.from_text(args.lam)
         params = padic.ThresholdParams(p=args.p, c=args.c, n=args.n)
@@ -195,12 +218,16 @@ def cmd_theorem_check(args) -> int:
         }
         _emit([row], args.format)
         return 0
+    from . import census
+
     records = census.threshold_experiment(args.n, args.p, args.c)
     _emit([_column_record_row(rec) for rec in records], args.format)
     return 0
 
 
 def cmd_verify_bounds(args) -> int:
+    from . import bounds
+
     rows = []
     if args.lemma == "1":
         for k in range(1, args.max_k + 1):
@@ -226,6 +253,8 @@ def cmd_verify_bounds(args) -> int:
 
 
 def cmd_verify_core_vanish(args) -> int:
+    from . import census
+
     rows = []
     failed = False
     for n in range(1, args.max_n + 1):
@@ -267,7 +296,7 @@ _LEMMA_FLAGS = {
     "1": {"max_k": 10, "max_m": 40},
     "2": {"max_n": 60, "max_k": 0},
     "fiber": {"max_n": 60, "max_k": 0},
-    "3": {"max_n": 60, "max_k": 0, "c": census.DEFAULT_C},
+    "3": {"max_n": 60, "max_k": 0, "c": DEFAULT_C},
     "hr": {"max_m": 40},
 }
 
@@ -289,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--mu", required=True, help='class partition, e.g. "4,1"')
-    sp.add_argument("--c", type=float, default=census.DEFAULT_C)
+    sp.add_argument("--c", type=float, default=DEFAULT_C)
     sp.set_defaults(func=cmd_column)
 
     sp = sub.add_parser("census", parents=[common],
@@ -331,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--max-m", type=positive, default=None,
                     help="largest m (lemmas 1, hr; default 40)")
     sp.add_argument("--c", type=float, default=None,
-                    help=f"threshold constant (lemma 3; default {census.DEFAULT_C})")
+                    help=f"threshold constant (lemma 3; default {DEFAULT_C})")
     sp.set_defaults(func=cmd_verify_bounds)
 
     sp = sub.add_parser("verify-core-vanish", parents=[common],
@@ -359,7 +388,7 @@ def main(argv=None) -> int:
             parser.error("--lemma 3 needs --max-n of at least 2")
     try:
         return args.func(args)
-    except (ValueError, census.ColumnCacheError) as exc:
+    except ValueError as exc:  # census.ColumnCacheError included
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:

@@ -8,7 +8,15 @@ length exactly k, so is_k_core is a one-shift bitmask test.  The partitions
 of n with a given k-core and weight w are as many as the k-component
 multipartitions of w (one partition per runner, the k-quotient); the tests
 check that count, which is what the core fiber identity in snchar.bounds
-rests on.  _rim_hook_options, one rim-hook removal, has no caller in the
+rests on.
+
+The k-core count of n is one dot product of the partition numbers with the
+series of prod_j (1 - x^j)^k, which is built once per k by a recurrence over
+the pentagonal numbers and extended in place as n grows.  Multipartition
+counts come from a separate convolution of the partition numbers, so the
+fiber identity compares two routes that share nothing but p(n).
+
+_rim_hook_options, one rim-hook removal, has no caller in the
 package; it is kept only for the benchmark tracer's hook in snchar.characters.
 """
 
@@ -60,20 +68,45 @@ def is_k_core(lam, k: int) -> bool:
     return not ((mask >> k) & gaps)
 
 
+# k -> [e_k(0), e_k(1), ...], e_k(m) = [x^m] prod_{j>=1} (1 - x^j)^k; each
+# series is built once and extended in place when a larger n needs more terms.
+_euler_powers: dict[int, list[int]] = {}
+
+
+def _euler_power(k: int, top: int) -> list[int]:
+    # E(x) = prod_j (1 - x^j) = sum_i e_i x^i has e_i = (-1)^j at the
+    # pentagonal numbers i = j(3j -+ 1)/2 and 0 elsewhere.  F = E^k satisfies
+    # x F' E = k x E' F, so m f_m = sum_{1 <= i <= m} ((k + 1) i - m) e_i f_{m-i}.
+    f = _euler_powers.setdefault(k, [1])
+    if len(f) <= top:
+        pentagonal = []  # (i, e_i), ascending i <= top
+        j = 1
+        while (g := j * (3 * j - 1) // 2) <= top:
+            sign = -1 if j & 1 else 1
+            pentagonal.append((g, sign))
+            if g + j <= top:
+                pentagonal.append((g + j, sign))
+            j += 1
+        for m in range(len(f), top + 1):
+            total = 0
+            for i, e in pentagonal:
+                if i > m:
+                    break
+                total += ((k + 1) * i - m) * e * f[m - i]
+            f.append(total // m)
+    return f
+
+
 @lru_cache(maxsize=None)
 def _core_count_row(n: int) -> tuple[int, ...]:
     # row[k] = number of k-core partitions of n, for 1 <= k <= n (row[0] unused),
     # read off C_k(q) = P(q) * prod_{j>=1} (1 - q^(kj))^k.  With x = q^k,
-    # row[k] = sum_m p(n - k m) * e_k(m), where e_k(m) = [x^m] prod_j (1 - x^j)^k.
+    # row[k] = sum_m p(n - k m) * e_k(m).
+    counts = [partition_count(j) for j in range(n + 1)]
     row = [0] * (n + 1)
     for k in range(1, n + 1):
-        top = n // k
-        e = [1] + [0] * top
-        for j in range(1, top + 1):
-            for _ in range(k):
-                for i in range(top, j - 1, -1):
-                    e[i] -= e[i - j]
-        row[k] = sum(partition_count(n - k * m) * e[m] for m in range(top + 1))
+        e = _euler_power(k, n // k)
+        row[k] = sum(counts[n - k * m] * e[m] for m in range(n // k + 1))
     return tuple(row)
 
 
@@ -81,7 +114,8 @@ def count_k_cores(n: int, k: int) -> int:
     """Number of k-core partitions of n, by the generating function
     P(q) * prod_{j>=1} (1 - q^(kj))^k (Garvan-Kim-Stanton).
 
-    Exact at any n; rows are cached per n, so sweeping k costs one row.  The
+    Exact at any n; rows are cached per n, so sweeping k costs one row, and
+    each row is one dot product per k with a series built once per k.  The
     tests check it against an enumeration of partitions by the hook criterion,
     which keeps the convolution-based multipartition counts it is compared
     with in the fiber identity honest.
@@ -102,7 +136,10 @@ def multipartition_count(k: int, m: int) -> int:
     """Number of k-component multipartitions of m.
 
     Coefficient of q**m in the k-th power of the partition generating series,
-    by repeated convolution; exact, cached per k.
+    by repeated convolution; exact, cached per k.  A series too short for m is
+    rebuilt to at least twice its length, so a sweep over m rebuilds it a
+    logarithmic number of times.  It shares nothing with the k-core series
+    but p(n), which keeps the fiber identity an independent cross-check.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -110,10 +147,11 @@ def multipartition_count(k: int, m: int) -> int:
         raise ValueError("m must be non-negative")
     series = _pk_cache.get(k)
     if series is None or len(series) <= m:
-        base = [partition_count(j) for j in range(m + 1)]
+        top = max(m, 2 * len(series or ()))
+        base = [partition_count(j) for j in range(top + 1)]
         series = base
         for _ in range(k - 1):
-            series = _convolve(series, base, m)
+            series = _convolve(series, base, top)
         _pk_cache[k] = series
     return series[m]
 

@@ -25,6 +25,11 @@ REL_TOL = 1e-9
 # Validity floor for the scale constant c (strict).
 C_MIN = math.sqrt(1.5) / math.pi
 
+# Scale constant used when a record needs the threshold predicates and the
+# caller does not supply one.  Any value above C_MIN works; 0.4 keeps the
+# threshold low, so more columns qualify.
+DEFAULT_C = 0.4
+
 
 def is_prime(m: int) -> bool:
     if not isinstance(m, int) or m < 2:

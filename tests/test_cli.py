@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -312,6 +313,53 @@ def test_cli_import_loads_no_pool_store_or_dataclass_modules(tmp_path):
     assert runs[0].stdout == runs[1].stdout == runs[2].stdout
     assert [run.stderr.rsplit("\n", 2)[-2] for run in runs] == ["[]"] * 3
     assert any(tmp_path.iterdir())
+
+
+def test_commands_load_only_the_modules_they_run():
+    # snchar re-exports nothing, so the command line loads a module only when
+    # a command runs it: bound sweeps never load the census kernel, a census
+    # never loads the bound checkers, and json loads only for --format json
+    watched = ("snchar.census", "snchar.characters", "snchar.bounds", "json")
+    probe = f"print(sorted(m for m in {watched!r} if m in sys.modules), file=sys.stderr)"
+    sweeps = [["--lemma", "1"], ["--lemma", "hr"]]
+    sweeps += [["--lemma", lemma, "--max-n", "8"] for lemma in ("2", "fiber", "3")]
+    runs = {
+        "import": [],
+        "verify-bounds": [["verify-bounds", *argv] for argv in sweeps],
+        "census": [["census", "--n", "6", "--p", "2"]],
+    }
+    loaded = {}
+    for name, argvs in runs.items():
+        calls = "".join(f"snchar.cli.main({argv!r}); " for argv in argvs)
+        result = _bare_python(f"import sys, snchar, snchar.cli; {calls}{probe}")
+        loaded[name] = result.stderr.splitlines()[-1]
+    assert loaded == {
+        "import": "[]",
+        "verify-bounds": "['snchar.bounds']",
+        "census": "['snchar.census', 'snchar.characters']",
+    }
+
+
+# stdout digests taken from the code before the k-core series were kept per
+# k; the sweeps at n = 200 are where those series do most of their work
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (("--lemma", "2", "--max-n", "200"),
+         "35804313342a14aab425eac6faa4a7f1a3e8f9f04a5d35dcdbcfe4c413169d05"),
+        (("--lemma", "fiber", "--max-n", "200"),
+         "89028915d21f40d61224c279a3578cabc5c0b94e69a434bd90213368f44399ff"),
+        (("--lemma", "3", "--max-n", "200", "--c", "0.4"),
+         "515bf6b769fc53ffaa846faa54aee5cfe371234b33edccce355274ff1a424758"),
+        (("--lemma", "fiber", "--max-n", "60", "--format", "json"),
+         "77e436fc0d91a27a2f2afeab3f20e9abc0d72c336d8cd165f2e246370a6baf47"),
+    ],
+    ids=["lemma2-200", "fiber-200", "lemma3-200", "fiber-60-json"],
+)
+def test_verify_bounds_sweep_bytes_pinned(capsys, argv, digest):
+    code, out, _ = run(capsys, "verify-bounds", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +14,7 @@ from _oracles import (
     node_addition_cover,
 )
 from conftest import partitions_of, partitions_st
+from snchar import cores
 from snchar.cores import _rim_hook_options, count_k_cores, is_k_core, multipartition_count
 from snchar.partitions import partition_count
 
@@ -152,6 +155,27 @@ def test_multipartition_count_against_enumeration():
     for k in (1, 2, 3, 4):
         for m in range(11):
             assert multipartition_count(k, m) == len(brute_multipartitions(k, m))
+
+
+def test_counts_do_not_depend_on_call_order():
+    # the k-core series and the multipartition series are cached per k and
+    # grown in place, so no order of requests may change a value
+    def sweep(core_keys, multi_keys):
+        cores._core_count_row.cache_clear()
+        cores._euler_powers.clear()
+        cores._pk_cache.clear()
+        return ({key: count_k_cores(*key) for key in core_keys},
+                {key: multipartition_count(*key) for key in multi_keys})
+
+    core_keys = [(n, k) for n in range(61) for k in range(1, n + 2)]
+    multi_keys = [(k, m) for k in range(1, 16) for m in range(41)]
+    ascending = sweep(core_keys, multi_keys)
+    assert sweep(core_keys[::-1], multi_keys[::-1]) == ascending
+    rng = random.Random(20)
+    for _ in range(3):
+        rng.shuffle(core_keys)
+        rng.shuffle(multi_keys)
+        assert sweep(core_keys, multi_keys) == ascending
 
 
 def test_node_addition_cover_examples():
