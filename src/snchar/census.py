@@ -25,12 +25,11 @@ from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
 
-from .characters import compute_column, zero_counts
+from .characters import _forward_column, compute_column, zero_counts
 from .cores import count_k_cores, is_k_core
 from .padic import (
     DEFAULT_C,
     PowerBlockWitness,
-    ThresholdParams,
     _require_prime,
     _require_scale,
     digit_representative,
@@ -237,10 +236,9 @@ def _column_record(
     representative = digit_representative(label, p)
     core_floor = count_k_cores(n, representative[0]) if representative else 0
     if n >= 2:
-        params = ThresholdParams(p=p, c=c, n=n)
-        witness = power_block_witness(label, params)
+        witness = power_block_witness(label, p, c)
         qualifies_threshold = witness is not None
-        qualifies_few_parts = few_distinct_parts(label, params)
+        qualifies_few_parts = few_distinct_parts(label, p, c)
     else:
         witness, qualifies_threshold, qualifies_few_parts = None, None, None
     total = partition_count(n)
@@ -300,7 +298,8 @@ def check_fiber_congruence(n: int, p: int, lam) -> FiberCongruenceReport:
 
 def check_core_vanishing(n: int, k: int) -> CoreVanishReport:
     """Exactly verify that every k-core row vanishes on every class whose
-    largest part is k (the first recursion step already has no hook to strip)."""
+    largest part is k (the first recursion step already has no hook to strip).
+    Each column adds k first, so those rows are reached and must cancel."""
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     partitions = list(enumerate_partitions(n))
@@ -308,7 +307,7 @@ def check_core_vanishing(n: int, k: int) -> CoreVanishReport:
     classes = [mu for mu in partitions if mu[0] == k]
     violations = []
     for mu in classes:
-        column = compute_column(n, mu, None)
+        column = _forward_column(n, mu, None)
         nonzero_cores = sorted(cores & column.keys(), reverse=True)  # enumeration order
         violations += [(alpha, mu, column[alpha]) for alpha in nonzero_cores]
     return CoreVanishReport(
@@ -458,11 +457,12 @@ def threshold_experiment(n: int, p: int, c: float) -> list[ColumnDivisibilityRec
     """
     if n < 2:
         raise ValueError("n must be at least 2")
-    params = ThresholdParams(p=p, c=c, n=n)
+    _require_prime(p)
+    _require_scale(c)
     representatives = [
         digit_representative(lam, p)
         for lam in p_regular_partitions(n, p)
-        if power_block_witness(lam, params) is not None
+        if power_block_witness(lam, p, c) is not None
     ]
     records = []
     for rep, zero_count in zip(representatives, zero_counts(n, representatives, p)):

@@ -32,6 +32,10 @@ here forward, adding rim hooks instead of removing them:
 Both routes add their hooks in one loop (_accumulate), and take their moves
 from _hooks, so the bead-move and leg-sign rule lives in one function.
 
+Both add the largest part k last, so they never reach a k-core row: those
+zeros hold by construction.  The core vanishing check adds k first instead
+(_forward_column takes the parts in any order), so those rows must cancel.
+
 The backward recursion, which strips rim hooks one entry at a time, lives
 only in the tests, as the oracle both routes are checked against.
 """
@@ -85,9 +89,14 @@ def compute_column(n: int, mu, modulus: int | None = None) -> dict[Partition, in
         raise ValueError(f"{mu} is not a partition of {n}")
     if modulus is not None and not is_prime(modulus):
         raise ValueError(f"modulus must be prime, got {modulus!r}")
+    return _forward_column(n, reversed(mu), modulus)
+
+
+def _forward_column(n: int, parts, modulus: int | None) -> dict[Partition, int]:
+    # compute_column's pass, adding a rim hook for each of parts in the order given.
     cache = MemoCache()
     states = {(1 << n) - 1: 1}
-    for t in reversed(mu):
+    for t in parts:
         reached, moves = _accumulate(states.items(), t, modulus or 0)
         cache.misses += len(reached)
         cache.hits += moves - len(reached)

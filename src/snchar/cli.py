@@ -2,7 +2,8 @@
 fiber checks, bound sweeps, and core-vanishing verification.
 
 Output is CSV (default) or JSON on stdout; progress and cache statistics go
-to stderr.  Exit codes: 0 all checks passed, 1 some verification failed,
+to stderr.  Exit codes: 0 all checks passed, 1 some verification failed or
+stdout was closed before the output ended (quietly, as under `| head`),
 2 invalid input.
 
 Each command imports the modules it runs when it runs, so a bound sweep never
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING
@@ -202,8 +204,9 @@ def cmd_theorem_check(args) -> int:
 
     if args.lam is not None:
         lam = Partition.from_text(args.lam)
-        params = padic.ThresholdParams(p=args.p, c=args.c, n=args.n)
-        witness = padic.power_block_witness(lam, params)
+        if lam.n != args.n:
+            raise ValueError(f"|{lam}| = {lam.n} does not match n = {args.n}")
+        witness = padic.power_block_witness(lam, args.p, args.c)
         row = {
             "n": args.n,
             "p": args.p,
@@ -212,9 +215,9 @@ def cmd_theorem_check(args) -> int:
             "qualifies_threshold": witness is not None,
             "witness_index": witness.index if witness else None,
             "witness_exponent": witness.exponent if witness else None,
-            "qualifies_few_parts": padic.few_distinct_parts(lam, params),
+            "qualifies_few_parts": padic.few_distinct_parts(lam, args.p, args.c),
             "representative": padic.digit_representative(lam, args.p),
-            "threshold_float": params.threshold,
+            "threshold_float": padic.threshold(args.n, args.c),
         }
         _emit([row], args.format)
         return 0
@@ -388,6 +391,10 @@ def main(argv=None) -> int:
             parser.error("--lemma 3 needs --max-n of at least 2")
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # stdout closed by its reader: what is still buffered goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ValueError as exc:  # census.ColumnCacheError included
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2

@@ -5,6 +5,9 @@ sends mu to the p-regular partition obtained by replacing each part a * p**k
 (p not dividing a) with p**k parts a.  Columns of the character table indexed
 by the same fiber of that map are congruent mod p, so the p-regular label is
 the natural unit for divisibility bookkeeping.
+
+The threshold predicates power_block_witness(lam, p, c) and
+few_distinct_parts(lam, p, c) take n = |lam| and the scale threshold(n, c).
 """
 
 from __future__ import annotations
@@ -178,31 +181,9 @@ def digit_representative(lam, p: int) -> Partition:
     return Partition._unchecked(tuple(parts))
 
 
-class _ThresholdFields(NamedTuple):
-    p: int
-    c: float
-    n: int
-
-
-class ThresholdParams(_ThresholdFields):
-    """Scale parameters (p, c, n) for the threshold c * sqrt(n) * ln(n).
-
-    log means the natural logarithm throughout.  c must strictly exceed
-    sqrt(3/2)/pi, the floor below which the threshold regime is vacuous.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, p: int, c: float, n: int):
-        _require_prime(p)
-        _require_scale(c)
-        if n < 1:
-            raise ValueError("n must be positive")
-        return super().__new__(cls, p, c, n)
-
-    @property
-    def threshold(self) -> float:
-        return self.c * math.sqrt(self.n) * math.log(self.n)
+def threshold(n: int, c: float) -> float:
+    """c * sqrt(n) * ln(n), the scale of the predicates below (natural log throughout)."""
+    return c * math.sqrt(n) * math.log(n)
 
 
 class PowerBlockWitness(NamedTuple):
@@ -218,17 +199,17 @@ def _accept_le(value: float, bound: float) -> bool:
     return value <= bound + REL_TOL * abs(bound)
 
 
-def _check_predicate_input(lam: Partition, params: ThresholdParams) -> None:
-    if params.n < 2:
-        raise ValueError("threshold predicates require n >= 2")
-    if lam.n != params.n:
-        raise ValueError(f"|{lam}| = {lam.n} does not match n = {params.n}")
-    if not is_p_regular(lam, params.p):
-        raise ValueError(f"{lam} has a part divisible by {params.p}")
+def _check_predicate_input(lam: Partition, p: int, c: float) -> None:
+    _require_prime(p)
+    _require_scale(c)
+    if lam.n < 2:
+        raise ValueError("threshold predicates require n >= 2" if lam.n else "n must be positive")
+    if not is_p_regular(lam, p):
+        raise ValueError(f"{lam} has a part divisible by {p}")
 
 
-def power_block_witness(lam, params: ThresholdParams) -> Optional[PowerBlockWitness]:
-    """Witness that some distinct part reaches the threshold scale.
+def power_block_witness(lam, p: int, c: float) -> Optional[PowerBlockWitness]:
+    """Witness that some distinct part of lam, n = |lam|, reaches the threshold.
 
     Looks for a distinct part a_i (multiplicity b_i) and s >= 0 with
     p**s <= b_i and a_i * p**s >= c * sqrt(n) * ln(n); returns the first such
@@ -236,25 +217,24 @@ def power_block_witness(lam, params: ThresholdParams) -> Optional[PowerBlockWitn
     digit_representative(lam, p) reaching the threshold.
     """
     lam = Partition(lam)
-    _check_predicate_input(lam, params)
-    thresh = params.threshold
+    _check_predicate_input(lam, p, c)
+    thresh = threshold(lam.n, c)
     for index, (a, b) in enumerate(exponent_form(lam), start=1):
         s = 0
-        while params.p ** (s + 1) <= b:
+        while p ** (s + 1) <= b:
             s += 1
-        if _accept_ge(a * params.p ** s, thresh):
+        if _accept_ge(a * p ** s, thresh):
             return PowerBlockWitness(index, s)
     return None
 
 
-def few_distinct_parts(lam, params: ThresholdParams) -> bool:
-    """True when the number of distinct parts is at most sqrt(n)/(c * p * ln(n)).
+def few_distinct_parts(lam, p: int, c: float) -> bool:
+    """True when lam has at most sqrt(n)/(c * p * ln(n)) distinct parts, n = |lam|.
 
-    Implies power_block_witness(lam, params) is not None: some part class then
+    Implies power_block_witness(lam, p, c) is not None: some part class then
     carries total size a_i * b_i >= c * p * sqrt(n) * ln(n).
     """
     lam = Partition(lam)
-    _check_predicate_input(lam, params)
+    _check_predicate_input(lam, p, c)
     h = len(exponent_form(lam))
-    bound = math.sqrt(params.n) / (params.c * params.p * math.log(params.n))
-    return _accept_le(h, bound)
+    return _accept_le(h, math.sqrt(lam.n) / (c * p * math.log(lam.n)))

@@ -21,14 +21,15 @@ def partitions_st(max_n: int, min_n: int = 0):
     return st.integers(min_n, max_n).flatmap(lambda n: st.sampled_from(partitions_of(n)))
 
 
-def inject_column_fault(monkeypatch, n, target, **swap):
-    """Make census.compute_column answer for the class target of n with the
-    column of swap's mu and modulus, each defaulting to the one asked for."""
-    real = census.compute_column
+def inject_column_fault(monkeypatch, n, target, binding="compute_column", **swap):
+    """Make census.compute_column, or the census binding named, answer for
+    the class target of n with the column of swap's mu and modulus, each
+    defaulting to the one asked for."""
+    real = getattr(census, binding)
 
-    def compute_column(n_, mu_, modulus=None):
+    def column(n_, mu_, modulus=None):
         if n_ == n and tuple(mu_) == tuple(target):
             mu_, modulus = swap.get("mu", mu_), swap.get("modulus", modulus)
         return real(n_, mu_, modulus)
 
-    monkeypatch.setattr(census, "compute_column", compute_column)
+    monkeypatch.setattr(census, binding, column)

@@ -9,7 +9,7 @@ import pytest
 
 from _oracles import dimension, mn_character
 from conftest import dense, inject_column_fault, partitions_of
-from snchar import census
+from snchar import census, characters
 from snchar.census import (
     CACHE_VERSION,
     ColumnCacheError,
@@ -142,7 +142,7 @@ def test_core_vanishing_sweep_small():
 def test_core_vanishing_lists_nonzero_core_rows(monkeypatch):
     # the class (4,1,1) gets the identity column, so each 4-core of 6 shows
     # its dimension there; violations keep enumeration order
-    inject_column_fault(monkeypatch, 6, P(4, 1, 1), mu=P(1, 1, 1, 1, 1, 1))
+    inject_column_fault(monkeypatch, 6, P(4, 1, 1), binding="_forward_column", mu=P(1, 1, 1, 1, 1, 1))
     report = check_core_vanishing(6, 4)
     assert not report.ok
     assert report.violations == tuple(
@@ -150,6 +150,14 @@ def test_core_vanishing_lists_nonzero_core_rows(monkeypatch):
         for alpha in partitions_of(6)
         if alpha in (P(4, 1, 1), P(3, 2, 1), P(3, 1, 1, 1))
     )
+
+
+def test_core_vanishing_sees_a_wrong_leg_sign(monkeypatch):
+    # with every move counted +, the k-core rows no longer cancel; a check
+    # that added the largest part k last would never reach them
+    real = characters._hooks
+    monkeypatch.setattr(characters, "_hooks", lambda mask, t: (sum(real(mask, t), []), []))
+    assert any(not check_core_vanishing(n, k).ok for n in range(1, 9) for k in range(1, n + 1))
 
 
 def test_core_vanishing_validation():

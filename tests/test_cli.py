@@ -160,6 +160,14 @@ def test_theorem_check_single_label(capsys):
     assert payload["representative"] == "4"
 
 
+def test_theorem_check_rejects_a_label_of_another_size(capsys):
+    # the predicates take n from the label, so the command checks --lambda
+    # against --n itself
+    code, out, err = run(capsys, "theorem-check", "--n", "5", "--p", "2", "--c", "0.4",
+                         "--lambda", "3,3")
+    assert (code, out, err) == (2, "", "invalid input: |3,3| = 6 does not match n = 5\n")
+
+
 def test_theorem_check_survey(capsys):
     import csv as _csv
 
@@ -233,7 +241,8 @@ def test_verify_core_vanish(capsys):
 
 
 def test_verify_core_vanish_exits_1_on_a_violation(monkeypatch, capsys):
-    inject_column_fault(monkeypatch, 6, Partition((4, 1, 1)), mu=Partition((1,) * 6))
+    inject_column_fault(monkeypatch, 6, Partition((4, 1, 1)), binding="_forward_column",
+                        mu=Partition((1,) * 6))
     code, out, _ = run(capsys, "verify-core-vanish", "--max-n", "6")
     assert code == 1
     assert [line for line in out.splitlines() if line.endswith("false")] == ["6,4,3,2,6,3,false"]
@@ -293,6 +302,20 @@ def _bare_python(code: str) -> subprocess.CompletedProcess:
     # a fresh interpreter without site-packages that imports snchar from src/
     return subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120, check=True)
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_closed_stdout_exits_1_quietly(tmp_path, unbuffered):
+    # about 240 kB, far more than a pipe holds, so the command is still
+    # writing when the reader goes after the first line
+    env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONUNBUFFERED": unbuffered}
+    argv = [sys.executable, "-m", "snchar.cli", "verify-bounds", "--lemma", "fiber", "--max-n", "100"]
+    with open(tmp_path / "stderr", "wb") as err, \
+            subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=err, env=env) as proc:
+        assert proc.stdout.readline() == b"check,n,k,lhs,rhs,relation,holds,slack,slack_float\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == 1
+    assert (tmp_path / "stderr").read_bytes() == b""
 
 
 def test_cli_import_loads_no_pool_store_or_dataclass_modules(tmp_path):

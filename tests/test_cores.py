@@ -157,6 +157,18 @@ def test_multipartition_count_against_enumeration():
             assert multipartition_count(k, m) == len(brute_multipartitions(k, m))
 
 
+def test_multipartition_count_against_repeated_convolution():
+    # the series is powered by squaring, and rebuilt by doubling as m grows;
+    # k - 1 plain products with the partition series give the same terms
+    cores._pk_cache.clear()
+    base = [partition_count(m) for m in range(61)]
+    series = base
+    for k in range(1, 41):
+        if k > 1:
+            series = [sum(series[i] * base[m - i] for i in range(m + 1)) for m in range(61)]
+        assert [multipartition_count(k, m) for m in range(61)] == series, k
+
+
 def test_counts_do_not_depend_on_call_order():
     # the k-core series and the multipartition series are cached per k and
     # grown in place, so no order of requests may change a value

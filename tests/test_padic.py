@@ -8,7 +8,6 @@ from _oracles import brute_partitions
 from conftest import partitions_of, partitions_st
 from snchar.padic import (
     C_MIN,
-    ThresholdParams,
     _power_partitions,
     digit_representative,
     few_distinct_parts,
@@ -20,6 +19,7 @@ from snchar.padic import (
     p_prime_part,
     p_regular_partitions,
     power_block_witness,
+    threshold,
 )
 from snchar.partitions import Partition, partition_count
 
@@ -165,48 +165,41 @@ def test_digit_representative_lies_in_fiber():
 
 
 def test_threshold_params_validation():
-    ThresholdParams(p=2, c=0.39, n=5)
-    with pytest.raises(ValueError):
-        ThresholdParams(p=2, c=C_MIN, n=5)  # boundary is invalid (strict)
-    with pytest.raises(ValueError):
-        ThresholdParams(p=2, c=0.3, n=5)
-    with pytest.raises(ValueError):
-        ThresholdParams(p=4, c=0.5, n=5)
-    with pytest.raises(ValueError):
-        ThresholdParams(p=2, c=0.5, n=0)
-    for c in (math.inf, math.nan):
-        with pytest.raises(ValueError):
-            ThresholdParams(p=2, c=c, n=5)
+    # each predicate checks p and c itself; n is the label's own size
+    assert threshold(5, 0.39) == 0.39 * math.sqrt(5) * math.log(5)
+    for predicate in (power_block_witness, few_distinct_parts):
+        predicate(P(3, 1, 1), 2, 0.39)
+        for p, c in ((2, C_MIN), (2, 0.3), (4, 0.5), (2, math.inf), (2, math.nan)):
+            with pytest.raises(ValueError):  # C_MIN itself is invalid (strict)
+                predicate(P(3, 1, 1), p, c)
 
 
 def test_predicates_require_n_at_least_2():
-    params = ThresholdParams(p=2, c=0.4, n=1)
-    with pytest.raises(ValueError):
-        power_block_witness(P(1), params)
-    with pytest.raises(ValueError):
-        few_distinct_parts(P(1), params)
+    for lam, message in ((P(), "n must be positive"), (P(1), "n >= 2")):
+        with pytest.raises(ValueError, match=message):
+            power_block_witness(lam, 2, 0.4)
+        with pytest.raises(ValueError, match=message):
+            few_distinct_parts(lam, 2, 0.4)
 
 
 def test_predicates_validate_label():
-    params = ThresholdParams(p=2, c=0.4, n=4)
-    with pytest.raises(ValueError):
-        power_block_witness(P(4), params)  # part divisible by 2
-    with pytest.raises(ValueError):
-        power_block_witness(P(2, 1, 1), params)  # part divisible by 2
-    with pytest.raises(ValueError):
-        few_distinct_parts(P(1, 1, 1), params)  # wrong size
+    for lam in (P(4), P(2, 1, 1)):  # a part divisible by 2
+        with pytest.raises(ValueError, match="divisible by 2"):
+            power_block_witness(lam, 2, 0.4)
+        with pytest.raises(ValueError, match="divisible by 2"):
+            few_distinct_parts(lam, 2, 0.4)
 
 
 def test_power_block_witness_single_huge_part():
     # a single part n is far beyond 0.4 * sqrt(n) * ln(n) at these sizes
     for n in (9, 17, 31):
-        witness = power_block_witness(P(n), ThresholdParams(p=2, c=0.4, n=n))
+        witness = power_block_witness(P(n), 2, 0.4)
         assert witness == (1, 0)
 
 
 def test_power_block_witness_worked_example():
     # p=2, c=0.4, n=4, all-ones label: s=2 gives 2**2 = 4 <= 4 and 4 >= 0.4*2*ln 4
-    witness = power_block_witness(P(1, 1, 1, 1), ThresholdParams(p=2, c=0.4, n=4))
+    witness = power_block_witness(P(1, 1, 1, 1), 2, 0.4)
     assert witness == (1, 2)
 
 
@@ -216,30 +209,26 @@ def test_witness_matches_representative_largest_part():
     for n in range(2, 21):
         for p in (2, 3):
             for c in (0.39, 0.5, 1.0):
-                params = ThresholdParams(p=p, c=c, n=n)
                 for lam in p_regular_partitions(n, p):
                     rep = digit_representative(lam, p)
-                    expected = rep[0] >= params.threshold * (1 - 1e-9)
-                    assert (power_block_witness(lam, params) is not None) == expected
+                    expected = rep[0] >= threshold(n, c) * (1 - 1e-9)
+                    assert (power_block_witness(lam, p, c) is not None) == expected
 
 
 def test_few_distinct_parts_examples():
     # h = 1 <= sqrt(9) / (0.4 * 2 * ln 9) ~ 1.707
-    assert few_distinct_parts(P(9), ThresholdParams(p=2, c=0.4, n=9))
+    assert few_distinct_parts(P(9), 2, 0.4)
     # h = 3 with a tiny budget fails
-    assert not few_distinct_parts(
-        P(4, 2, 2, 1), ThresholdParams(p=3, c=1.0, n=9)
-    )
+    assert not few_distinct_parts(P(4, 2, 2, 1), 3, 1.0)
 
 
 def test_few_parts_implies_witness():
     for n in range(2, 21):
         for p in (2, 3):
             for c in (0.39, 0.5):
-                params = ThresholdParams(p=p, c=c, n=n)
                 for lam in p_regular_partitions(n, p):
-                    if few_distinct_parts(lam, params):
-                        assert power_block_witness(lam, params) is not None
+                    if few_distinct_parts(lam, p, c):
+                        assert power_block_witness(lam, p, c) is not None
 
 
 @given(partitions_st(24), st.sampled_from((2, 3, 5)))
