@@ -1,5 +1,8 @@
 """Divisibility census engine: per-column statistics, whole-table counts,
 fiber-congruence and core-vanishing verification, and the census store.
+The checks read the kernel's rows by bead mask (characters._forward_column)
+and decode only the rows a report names; a k-core row is one shift of its
+mask, having no bead x with x - k vacant.
 
 The census takes the zero count mod p of one column per p-regular label and
 reuses it across the label's whole fiber; that shortcut is itself verified
@@ -26,7 +29,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .characters import _forward_column, compute_column, zero_counts
-from .cores import count_k_cores, is_k_core
+from .cores import count_k_cores
 from .padic import (
     DEFAULT_C,
     PowerBlockWitness,
@@ -40,7 +43,7 @@ from .padic import (
     p_regular_partitions,
     power_block_witness,
 )
-from .partitions import Partition, enumerate_partitions, partition_count
+from .partitions import Partition, _mask_partition, enumerate_partitions, partition_count
 
 CACHE_VERSION = 3
 _CACHE_MAGIC = "snchar-census"
@@ -276,14 +279,14 @@ def check_fiber_congruence(n: int, p: int, lam) -> FiberCongruenceReport:
         raise ValueError(f"{lam} is not a partition of {n}")
     members = list(fiber_partitions(lam, p))
     reference_mu = members[0]
-    reference = compute_column(n, reference_mu, p)
+    reference = _forward_column(n, reference_mu[::-1], p)
     mismatch = None
     for mu in members[1:]:
-        column = compute_column(n, mu, p)
+        column = _forward_column(n, mu[::-1], p)
         if column != reference:
             # canonical order is descending, so the first differing row in
             # enumeration order is the largest
-            alpha = max(alpha for alpha, _ in reference.items() ^ column.items())
+            alpha = max(_mask_partition(mask) for mask, _ in reference.items() ^ column.items())
             mismatch = (reference_mu, mu, alpha)
             break
     return FiberCongruenceReport(
@@ -302,20 +305,20 @@ def check_core_vanishing(n: int, k: int) -> CoreVanishReport:
     Each column adds k first, so those rows are reached and must cancel."""
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    partitions = list(enumerate_partitions(n))
-    cores = {alpha for alpha in partitions if is_k_core(alpha, k)}
-    classes = [mu for mu in partitions if mu[0] == k]
+    core_count = count_k_cores(n, k)
+    classes = [mu for mu in enumerate_partitions(n) if mu[0] == k]
     violations = []
     for mu in classes:
-        column = _forward_column(n, mu, None)
-        nonzero_cores = sorted(cores & column.keys(), reverse=True)  # enumeration order
-        violations += [(alpha, mu, column[alpha]) for alpha in nonzero_cores]
+        rows = _forward_column(n, mu, None).items()
+        nonzero_cores = [(_mask_partition(mask), v) for mask, v in rows if not (mask >> k) & ~mask]
+        # largest first, as the rows are enumerated
+        violations += [(alpha, mu, v) for alpha, v in sorted(nonzero_cores, reverse=True)]
     return CoreVanishReport(
         n=n,
         k=k,
-        core_count=len(cores),
+        core_count=core_count,
         class_count=len(classes),
-        pairs_checked=len(cores) * len(classes),
+        pairs_checked=core_count * len(classes),
         violations=tuple(violations),
     )
 

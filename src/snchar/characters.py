@@ -15,9 +15,9 @@ here forward, adding rim hooks instead of removing them:
   bead x moves to a vacant x + t, and the leg is the number of beads it
   jumps; _hooks).  One pass reaches every row; entries that cancel, mod
   p if a modulus is set, are dropped after each part, so the rows left at
-  the end are exactly the nonzero ones, and the column is those rows alone,
-  each mask decoded back to its partition.  A column costs its nonzero
-  rows, not the p(n) partitions of n.
+  the end are exactly the nonzero ones, keyed by bead mask, which the census
+  checks read as they are; compute_column alone decodes them to partitions.
+  A column costs its nonzero rows, not the p(n) partitions of n.
 - over many classes, for zero counts mod p only (zero_counts): the
   classes' ascending parts form a trie, and a node of size m, the parts
   added so far, reaches its child by one step (m, t) that adds a rim hook
@@ -34,7 +34,8 @@ from _hooks, so the bead-move and leg-sign rule lives in one function.
 
 Both add the largest part k last, so they never reach a k-core row: those
 zeros hold by construction.  The core vanishing check adds k first instead
-(_forward_column takes the parts in any order), so those rows must cancel.
+(_forward_column takes the parts in any order), so those rows must cancel;
+it finds them among the masks with one shift.
 
 The backward recursion, which strips rim hooks one entry at a time, lives
 only in the tests, as the oracle both routes are checked against.
@@ -89,11 +90,12 @@ def compute_column(n: int, mu, modulus: int | None = None) -> dict[Partition, in
         raise ValueError(f"{mu} is not a partition of {n}")
     if modulus is not None and not is_prime(modulus):
         raise ValueError(f"modulus must be prime, got {modulus!r}")
-    return _forward_column(n, reversed(mu), modulus)
+    return {_mask_partition(mask): v for mask, v in _forward_column(n, reversed(mu), modulus).items()}
 
 
-def _forward_column(n: int, parts, modulus: int | None) -> dict[Partition, int]:
-    # compute_column's pass, adding a rim hook for each of parts in the order given.
+def _forward_column(n: int, parts, modulus: int | None) -> dict[int, int]:
+    # compute_column's pass, adding a rim hook for each of parts in the order
+    # given: the nonzero rows, keyed by n-bead mask.
     cache = MemoCache()
     states = {(1 << n) - 1: 1}
     for t in parts:
@@ -105,7 +107,7 @@ def _forward_column(n: int, parts, modulus: int | None) -> dict[Partition, int]:
         else:
             states = {key: r for key, v in reached.items() if (r := v % modulus)}
     cache.table = states
-    return {_mask_partition(mask): value for mask, value in states.items()}
+    return states
 
 
 def zero_counts(n: int, labels, p: int) -> tuple[int, ...]:

@@ -1,10 +1,11 @@
-"""k-cores on the abacus: the k-core test, k-core counts by generating
-function, multipartition counts.
+"""k-cores on the abacus: k-core counts by generating function,
+multipartition counts.
 
 A partition becomes bead positions on k runners, and a rim hook of length k
 is a bead with a vacancy k below it.  A classical consequence used
 throughout: a partition has a hook of length divisible by k iff it has one of
-length exactly k, so is_k_core is a one-shift bitmask test.  The partitions
+length exactly k, so a partition is a k-core iff no bead x of its mask has
+x - k vacant, a one-shift test (census.check_core_vanishing).  The partitions
 of n with a given k-core and weight w are as many as the k-component
 multipartitions of w (one partition per runner, the k-quotient); the tests
 check that count, which is what the core fiber identity in snchar.bounds
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .partitions import _beta_mask, _parts_from_beads, partition_count
+from .partitions import _parts_from_beads, partition_count
 
 
 def _rim_hook_options(parts: tuple, length: int) -> list[tuple[tuple, int]]:
@@ -54,18 +55,6 @@ def _rim_hook_options(parts: tuple, length: int) -> list[tuple[tuple, int]]:
         new_beta = beta[:pos] + beta[pos + 1: pos + 1 + leg] + [y] + beta[pos + 1 + leg:]
         out.append((_parts_from_beads(tuple(new_beta)), leg))
     return out
-
-
-def is_k_core(lam, k: int) -> bool:
-    """True when no hook length is divisible by k (abacus probe for a k-slide)."""
-    if k < 1:
-        raise ValueError("k must be positive")
-    parts = tuple(lam)
-    if not parts:
-        return True
-    mask = _beta_mask(parts)
-    gaps = ((1 << (parts[0] + len(parts))) - 1) ^ mask
-    return not ((mask >> k) & gaps)
 
 
 # k -> [e_k(0), e_k(1), ...], e_k(m) = [x^m] prod_{j>=1} (1 - x^j)^k; each

@@ -33,6 +33,8 @@ class Partition(tuple):
     __slots__ = ()
 
     def __new__(cls, parts=()):
+        if type(parts) is cls:
+            return parts  # checked when it was made
         parts = tuple(parts)
         for i, a in enumerate(parts):
             if not isinstance(a, int) or isinstance(a, bool) or a < 1:

@@ -21,15 +21,16 @@ def partitions_st(max_n: int, min_n: int = 0):
     return st.integers(min_n, max_n).flatmap(lambda n: st.sampled_from(partitions_of(n)))
 
 
-def inject_column_fault(monkeypatch, n, target, binding="compute_column", **swap):
-    """Make census.compute_column, or the census binding named, answer for
-    the class target of n with the column of swap's mu and modulus, each
+def inject_column_fault(monkeypatch, n, target, **swap):
+    """Make census._forward_column answer for the class target of n, its
+    parts given in any order, with the column of swap's mu and modulus, each
     defaulting to the one asked for."""
-    real = getattr(census, binding)
+    real = census._forward_column
 
-    def column(n_, mu_, modulus=None):
-        if n_ == n and tuple(mu_) == tuple(target):
+    def column(n_, mu_, modulus):
+        mu_ = tuple(mu_)
+        if n_ == n and tuple(sorted(mu_, reverse=True)) == tuple(target):
             mu_, modulus = swap.get("mu", mu_), swap.get("modulus", modulus)
         return real(n_, mu_, modulus)
 
-    monkeypatch.setattr(census, binding, column)
+    monkeypatch.setattr(census, "_forward_column", column)

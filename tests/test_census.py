@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from _oracles import dimension, mn_character
+from _oracles import dimension, mn_character, naive_is_core
 from conftest import dense, inject_column_fault, partitions_of
 from snchar import census, characters
 from snchar.census import (
@@ -142,7 +142,7 @@ def test_core_vanishing_sweep_small():
 def test_core_vanishing_lists_nonzero_core_rows(monkeypatch):
     # the class (4,1,1) gets the identity column, so each 4-core of 6 shows
     # its dimension there; violations keep enumeration order
-    inject_column_fault(monkeypatch, 6, P(4, 1, 1), binding="_forward_column", mu=P(1, 1, 1, 1, 1, 1))
+    inject_column_fault(monkeypatch, 6, P(4, 1, 1), mu=P(1, 1, 1, 1, 1, 1))
     report = check_core_vanishing(6, 4)
     assert not report.ok
     assert report.violations == tuple(
@@ -150,6 +150,20 @@ def test_core_vanishing_lists_nonzero_core_rows(monkeypatch):
         for alpha in partitions_of(6)
         if alpha in (P(4, 1, 1), P(3, 2, 1), P(3, 1, 1, 1))
     )
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_core_vanishing_probe_flags_exactly_the_k_cores(monkeypatch, n):
+    # every class's column comes back as every row with value 1, so each
+    # report lists exactly the rows the one-shift probe takes for k-cores
+    rows = dict.fromkeys(characters._row_masks(n), 1)
+    monkeypatch.setattr(census, "_forward_column", lambda n_, parts, modulus: rows)
+    for k in range(1, n + 1):
+        cores = [alpha for alpha in partitions_of(n) if naive_is_core(alpha, k)]
+        classes = [mu for mu in partitions_of(n) if mu[0] == k]
+        report = check_core_vanishing(n, k)
+        assert report.violations == tuple((alpha, mu, 1) for mu in classes for alpha in cores)
+        assert report.core_count == len(cores)
 
 
 def test_core_vanishing_sees_a_wrong_leg_sign(monkeypatch):

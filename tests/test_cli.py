@@ -241,8 +241,7 @@ def test_verify_core_vanish(capsys):
 
 
 def test_verify_core_vanish_exits_1_on_a_violation(monkeypatch, capsys):
-    inject_column_fault(monkeypatch, 6, Partition((4, 1, 1)), binding="_forward_column",
-                        mu=Partition((1,) * 6))
+    inject_column_fault(monkeypatch, 6, Partition((4, 1, 1)), mu=Partition((1,) * 6))
     code, out, _ = run(capsys, "verify-core-vanish", "--max-n", "6")
     assert code == 1
     assert [line for line in out.splitlines() if line.endswith("false")] == ["6,4,3,2,6,3,false"]
@@ -381,6 +380,31 @@ def test_commands_load_only_the_modules_they_run():
 )
 def test_verify_bounds_sweep_bytes_pinned(capsys, argv, digest):
     code, out, _ = run(capsys, "verify-bounds", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# stdout digests taken from the code that decoded every row of each column
+# before checking it; the checks now read the kernel's bead masks
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (("verify-core-vanish", "--max-n", "14"),
+         "e779f25008368a86e5e2b35dfd8fc638a6252617bf4e6e1738c5092b53c6a9f7"),
+        (("verify-core-vanish", "--max-n", "10", "--format", "json"),
+         "6ffd8bb8908bc2e234a11f06bac2bf524164c9e167bf686e62530971b56484e8"),
+        (("fibers", "--n", "14", "--p", "2"),
+         "235b726eead7d0714e8a37c7c559096b4644a8042c26eedfc68a74e5cbedbb15"),
+        (("fibers", "--n", "12", "--p", "3", "--format", "json"),
+         "46933679247da24286ee046f52746de96c0a2c727df989755d4bd0a987917972"),
+        (("fibers", "--n", "12", "--p", "2", "--lambda", "3,3,1,1,1,1,1,1"),
+         "624a398fc0f631d326fd671854f36277ef11baa74b3e87bd2b5f5ba31f125031"),
+    ],
+    ids=["core-vanish-14", "core-vanish-10-json", "fibers-14-2", "fibers-12-3-json",
+         "fibers-12-2-label"],
+)
+def test_check_bytes_pinned(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 

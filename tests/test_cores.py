@@ -15,7 +15,7 @@ from _oracles import (
 )
 from conftest import partitions_of, partitions_st
 from snchar import cores
-from snchar.cores import _rim_hook_options, count_k_cores, is_k_core, multipartition_count
+from snchar.cores import _rim_hook_options, count_k_cores, multipartition_count
 from snchar.partitions import partition_count
 
 
@@ -35,8 +35,10 @@ def test_remove_rim_hook_against_border_strips(n):
 
 
 # k_core is the oracle's abacus push-down; these tests check it against the
-# size law, exhaustive stripping, and the package's is_k_core and
-# multipartition_count.
+# size law, the hook-length core test naive_is_core, exhaustive stripping,
+# and the package's multipartition_count.  The package's own k-core probe, a
+# shift of the kernel's row masks, is checked against naive_is_core in
+# test_census.
 
 
 def test_k_core_examples():
@@ -56,7 +58,7 @@ def test_k_core_size_law_and_core_property():
             for k in range(1, n + 2):
                 core, weight = k_core(lam, k)
                 assert n == sum(core) + k * weight
-                assert is_k_core(core, k)
+                assert naive_is_core(core, k)
 
 
 def test_k_core_idempotent():
@@ -72,13 +74,6 @@ def test_k_core_matches_exhaustive_stripping(n):
     for lam in partitions_of(n):
         for k in range(1, n + 1):
             assert naive_core_terminals(tuple(lam), k) == {k_core(lam, k)[0]}
-
-
-def test_is_k_core_against_hook_multiset():
-    for n in range(15):
-        for lam in partitions_of(n):
-            for k in range(1, n + 2):
-                assert is_k_core(lam, k) == naive_is_core(tuple(lam), k)
 
 
 def test_fiber_sizes_match_multipartition_count():
@@ -223,4 +218,4 @@ def test_node_addition_cover_bound_and_cover():
 def test_core_size_law_random(lam, k):
     core, weight = k_core(lam, k)
     assert lam.n == sum(core) + k * weight
-    assert is_k_core(core, k)
+    assert naive_is_core(core, k)

@@ -35,6 +35,15 @@ def test_partition_validation():
         Partition((3, -1))
     with pytest.raises(ValueError):
         Partition((True, True))
+    with pytest.raises(ValueError):
+        Partition([1, 3])
+
+
+def test_partition_of_a_partition_is_itself():
+    # a Partition was checked when it was made, so it is not walked again
+    q = Partition((3, 1, 1))
+    assert Partition(q) is q
+    assert type(Partition((3, 1, 1))) is Partition and Partition([3, 1, 1]) == q
 
 
 def test_pickle_round_trip():
@@ -166,7 +175,8 @@ def _beads(lam, size):
 
 def _hooks_from_mask(lam):
     # the abacus route: row i's hooks are x - y over the vacant y below its
-    # bead x, column 1 first; is_k_core probes exactly this gap rule
+    # bead x, column 1 first; the core-vanishing check's one-shift probe of
+    # the row masks tests exactly this gap rule
     mask = _beta_mask(tuple(lam))
     beads = [x for x in reversed(range(mask.bit_length())) if mask >> x & 1]
     out = {}
