@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .cores import count_k_cores, multipartition_count
-from .padic import _require_scale
+from .padic import _meets_threshold, _require_scale
 from .partitions import partition_count
 
 
@@ -81,10 +81,11 @@ def core_density_report(n: int, k: int, c: float) -> BoundReport:
     """Diagnostic report on the k-core share of partitions of n.
 
     lhs is the exact non-core share 1 - c_k(n)/p(n); rhs is the decay bound
-    (k + 1) p(n - k) / p(n) it never exceeds.  params carry whether k clears
-    the scale threshold c * sqrt(n) * ln(n).  The limiting decay rate behind
-    this diagnostic involves a constant with no effective value, so nothing
-    asymptotic is asserted here; only the exact ratios are.
+    (k + 1) p(n - k) / p(n) it never exceeds.  params carry whether k meets
+    padic.threshold(n, c), by the predicates' rule (padic._meets_threshold).
+    The limiting decay rate behind this diagnostic involves a constant with
+    no effective value, so nothing asymptotic is asserted here; only the
+    exact ratios are.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
@@ -93,9 +94,8 @@ def core_density_report(n: int, k: int, c: float) -> BoundReport:
     _require_scale(c)
     pn = partition_count(n)
     rhs = Fraction((k + 1) * partition_count(n - k), pn) if k <= n else Fraction(0)
-    k_meets = k >= c * math.sqrt(n) * math.log(n)
     lhs = 1 - Fraction(count_k_cores(n, k), pn)
-    params = {"n": n, "k": k, "c": c, "k_meets_threshold": k_meets}
+    params = {"n": n, "k": k, "c": c, "k_meets_threshold": _meets_threshold(k, n, c)}
     return _report("core-density", params, lhs, rhs, "<=")
 
 

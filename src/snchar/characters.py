@@ -48,7 +48,7 @@ from collections import Counter
 # Nothing in the package calls this; it is bound here only for the benchmark
 # tracer's probe hook, and goes when the benchmark drops that hook.
 from .cores import _rim_hook_options  # noqa: F401
-from .padic import is_prime
+from .padic import _require_prime, is_prime
 from .partitions import Partition, _beta_mask, _mask_partition, enumerate_partitions, partition_count
 
 
@@ -123,8 +123,7 @@ def zero_counts(n: int, labels, p: int) -> tuple[int, ...]:
     once per call, and every vector and mask is dropped after the last step
     that reads it.
     """
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p!r}")
+    _require_prime(p)
     if any(Partition(lam).n != n for lam in labels):
         raise ValueError(f"every class must be a partition of {n}")
     # The trie of the classes' ascending parts: node 0 is the empty prefix,

@@ -309,6 +309,9 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("csv", "json"), default="csv",
                         help="output format (default csv)")
+    n_and_p = argparse.ArgumentParser(add_help=False)
+    n_and_p.add_argument("--n", type=int, required=True)
+    n_and_p.add_argument("--p", type=int, required=True)
 
     parser = argparse.ArgumentParser(
         prog="snchar",
@@ -316,18 +319,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("column", parents=[common],
+    sp = sub.add_parser("column", parents=[common, n_and_p],
                         help="divisibility record of one column mod p")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--mu", required=True, help='class partition, e.g. "4,1"')
     sp.add_argument("--c", type=float, default=DEFAULT_C)
     sp.set_defaults(func=cmd_column)
 
-    sp = sub.add_parser("census", parents=[common],
+    sp = sub.add_parser("census", parents=[common, n_and_p],
                         help="whole-table divisibility census for (n, p)")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--jobs", type=int, default=1,
                     help="processes forked from this one: at most one per CPU and per group of "
                          "digit representatives sharing their largest part; one without os.fork")
@@ -335,18 +334,14 @@ def build_parser() -> argparse.ArgumentParser:
                     help="directory for persisted census zero counts")
     sp.set_defaults(func=cmd_census)
 
-    sp = sub.add_parser("fibers", parents=[common],
+    sp = sub.add_parser("fibers", parents=[common, n_and_p],
                         help="fiber listing and congruence verification")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--lambda", dest="lam", default=None,
                     help="restrict to the fiber of this p-regular partition")
     sp.set_defaults(func=cmd_fibers)
 
-    sp = sub.add_parser("theorem-check", parents=[common],
+    sp = sub.add_parser("theorem-check", parents=[common, n_and_p],
                         help="threshold predicates / qualifying-column survey")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--c", type=float, required=True)
     sp.add_argument("--lambda", dest="lam", default=None,
                     help="check the predicates on this single label")

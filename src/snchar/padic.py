@@ -8,6 +8,8 @@ the natural unit for divisibility bookkeeping.
 
 The threshold predicates power_block_witness(lam, p, c) and
 few_distinct_parts(lam, p, c) take n = |lam| and the scale threshold(n, c).
+They and bounds.core_density_report compare with it only by one test,
+_meets_threshold, biased toward accepting by REL_TOL.
 """
 
 from __future__ import annotations
@@ -82,6 +84,13 @@ def is_p_regular(lam, p: int) -> bool:
     return all(a % p for a in lam)
 
 
+def _regular_label(lam, p: int) -> Partition:
+    lam = Partition(lam)
+    if not is_p_regular(lam, p):
+        raise ValueError(f"{lam} has a part divisible by {p}")
+    return lam
+
+
 def p_regular_partitions(n: int, p: int) -> Iterator[Partition]:
     """Partitions of n with no part divisible by p, in canonical order.
 
@@ -125,9 +134,7 @@ def fiber_partitions(lam, p: int) -> Iterator[Partition]:
     copies of a fuses into one part a * p**k.  Duplicate-free because the
     p-adic valuation of a part recovers its block.
     """
-    lam = Partition(lam)
-    if not is_p_regular(lam, p):
-        raise ValueError(f"{lam} has a part divisible by {p}")
+    lam = _regular_label(lam, p)
     option_lists = [
         [tuple(a * q for q in combo) for combo in _power_partitions(b, p)]
         for a, b in exponent_form(lam)
@@ -140,9 +147,7 @@ def fiber_partitions(lam, p: int) -> Iterator[Partition]:
 
 def fiber_size(lam, p: int) -> int:
     """Cardinality of the fiber over lam, without enumerating it."""
-    lam = Partition(lam)
-    if not is_p_regular(lam, p):
-        raise ValueError(f"{lam} has a part divisible by {p}")
+    lam = _regular_label(lam, p)
     size = 1
     for _, b in exponent_form(lam):
         size *= _power_partition_count(b, p)
@@ -170,9 +175,7 @@ def digit_representative(lam, p: int) -> Partition:
     over lam, and its largest part is max over part classes of a * p**s with
     s the top digit position of the multiplicity.
     """
-    lam = Partition(lam)
-    if not is_p_regular(lam, p):
-        raise ValueError(f"{lam} has a part divisible by {p}")
+    lam = _regular_label(lam, p)
     parts: list[int] = []
     for a, b in exponent_form(lam):
         for t, digit in enumerate(p_adic_digits(b, p)):
@@ -186,44 +189,38 @@ def threshold(n: int, c: float) -> float:
     return c * math.sqrt(n) * math.log(n)
 
 
+def _meets_threshold(x: float, n: int, c: float) -> bool:
+    bound = threshold(n, c)
+    return x >= bound - REL_TOL * abs(bound)
+
+
 class PowerBlockWitness(NamedTuple):
     index: int  # 1-based position among distinct parts, largest part first
-    exponent: int  # s with p**s <= multiplicity of that part
+    exponent: int  # top digit position s of the multiplicity in base p
 
 
-def _accept_ge(value: float, bound: float) -> bool:
-    return value >= bound - REL_TOL * abs(bound)
-
-
-def _accept_le(value: float, bound: float) -> bool:
-    return value <= bound + REL_TOL * abs(bound)
-
-
-def _check_predicate_input(lam: Partition, p: int, c: float) -> None:
+def _check_predicate_input(lam, p: int, c: float) -> Partition:
+    lam = Partition(lam)
     _require_prime(p)
     _require_scale(c)
     if lam.n < 2:
         raise ValueError("threshold predicates require n >= 2" if lam.n else "n must be positive")
-    if not is_p_regular(lam, p):
-        raise ValueError(f"{lam} has a part divisible by {p}")
+    return _regular_label(lam, p)
 
 
 def power_block_witness(lam, p: int, c: float) -> Optional[PowerBlockWitness]:
     """Witness that some distinct part of lam, n = |lam|, reaches the threshold.
 
-    Looks for a distinct part a_i (multiplicity b_i) and s >= 0 with
-    p**s <= b_i and a_i * p**s >= c * sqrt(n) * ln(n); returns the first such
-    i with its maximal s, or None.  Equivalent to the largest part of
-    digit_representative(lam, p) reaching the threshold.
+    Looks for a distinct part a_i (multiplicity b_i) with a_i * p**s at or
+    above threshold(n, c), s the top digit position of b_i in base p (the
+    largest s with p**s <= b_i); returns the first such i with its s, or None.
+    s is the rule digit_representative uses, so a witness exists exactly when
+    that representative's largest part reaches the threshold.
     """
-    lam = Partition(lam)
-    _check_predicate_input(lam, p, c)
-    thresh = threshold(lam.n, c)
+    lam = _check_predicate_input(lam, p, c)
     for index, (a, b) in enumerate(exponent_form(lam), start=1):
-        s = 0
-        while p ** (s + 1) <= b:
-            s += 1
-        if _accept_ge(a * p ** s, thresh):
+        s = len(p_adic_digits(b, p)) - 1
+        if _meets_threshold(a * p ** s, lam.n, c):
             return PowerBlockWitness(index, s)
     return None
 
@@ -232,9 +229,8 @@ def few_distinct_parts(lam, p: int, c: float) -> bool:
     """True when lam has at most sqrt(n)/(c * p * ln(n)) distinct parts, n = |lam|.
 
     Implies power_block_witness(lam, p, c) is not None: some part class then
-    carries total size a_i * b_i >= c * p * sqrt(n) * ln(n).
+    carries total size a_i * b_i >= n / h >= p * threshold(n, c).  The bound
+    on h is tested in that form, n / (p * h) >= threshold(n, c).
     """
-    lam = Partition(lam)
-    _check_predicate_input(lam, p, c)
-    h = len(exponent_form(lam))
-    return _accept_le(h, math.sqrt(lam.n) / (c * p * math.log(lam.n)))
+    lam = _check_predicate_input(lam, p, c)
+    return _meets_threshold(lam.n / (p * len(exponent_form(lam))), lam.n, c)

@@ -13,6 +13,7 @@ from snchar.bounds import (
     growth_envelope_report,
 )
 from snchar.cores import count_k_cores
+from snchar.padic import C_MIN
 from snchar.partitions import partition_count
 
 
@@ -130,6 +131,16 @@ def test_core_density_threshold_flag():
     n = 40  # 0.4 * sqrt(40) * ln(40) ~ 9.33
     assert core_density_report(n, 25, 0.4).params["k_meets_threshold"]
     assert not core_density_report(n, 5, 0.4).params["k_meets_threshold"]
+
+
+def test_core_density_threshold_flag_on_the_boundary():
+    # c = k / (sqrt(n) ln n) puts threshold(n, c) on k up to float rounding;
+    # the flag uses the predicates' tolerance-biased rule, so k always meets it
+    for n in range(2, 61):
+        for k in range(1, n + 1):
+            c = k / (math.sqrt(n) * math.log(n))
+            if c > C_MIN:
+                assert core_density_report(n, k, c).params["k_meets_threshold"], (n, k)
 
 
 def test_core_density_exact_beyond_sixty():

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import os
@@ -21,11 +22,9 @@ def run(capsys, *argv):
 
 
 def test_column_csv(capsys):
-    import csv as _csv
-
     code, out, _ = run(capsys, "column", "--n", "4", "--p", "2", "--mu", "4")
     assert code == 0
-    header, row = list(_csv.reader(out.splitlines()))
+    header, row = list(csv.reader(out.splitlines()))
     fields = dict(zip(header, row))
     assert fields["zero_count"] == "1"
     assert fields["proportion"] == "1/5"
@@ -169,16 +168,21 @@ def test_theorem_check_rejects_a_label_of_another_size(capsys):
 
 
 def test_theorem_check_survey(capsys):
-    import csv as _csv
-
     code, out, _ = run(capsys, "theorem-check", "--n", "12", "--p", "2", "--c", "0.4")
     assert code == 0
-    rows = list(_csv.reader(out.splitlines()))
+    rows = list(csv.reader(out.splitlines()))
     assert len(rows) > 1
     zero_idx = rows[0].index("zero_count")
     floor_idx = rows[0].index("core_floor")
     for row in rows[1:]:
         assert int(row[zero_idx]) >= int(row[floor_idx])
+
+
+def test_theorem_check_empty_survey(capsys):
+    # no label of 3 qualifies at c = 5: CSV prints nothing, JSON an empty list
+    argv = ("theorem-check", "--n", "3", "--p", "2", "--c", "5")
+    assert run(capsys, *argv) == (0, "", "")
+    assert run(capsys, *argv, "--format", "json") == (0, "[]\n", "")
 
 
 def test_theorem_check_rejects_small_c(capsys):
@@ -213,12 +217,26 @@ def test_verify_bounds_core_density(capsys):
     assert "k_meets_threshold" in out.splitlines()[0]
 
 
-def test_verify_bounds_core_density_exact_beyond_sixty(capsys):
-    import csv as _csv
+def test_boundary_c_agrees_between_verify_bounds_and_theorem_check(capsys):
+    # threshold(9, c) is 3 up to float rounding: part 3 of the label qualifies,
+    # and lemma 3 says k = 3 meets the same threshold
+    c = "0.4551196133134187"
+    code, out, _ = run(capsys, "verify-bounds", "--lemma", "3", "--max-n", "9",
+                       "--max-k", "3", "--c", c)
+    assert code == 0
+    rows = list(csv.DictReader(out.splitlines()))
+    assert [row["k_meets_threshold"] for row in rows if row["n"] == "9" and row["k"] == "3"] == ["true"]
+    code, out, _ = run(capsys, "theorem-check", "--n", "9", "--p", "2", "--c", c,
+                       "--lambda", "3,1,1,1,1,1,1", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)[0]
+    assert (payload["qualifies_threshold"], payload["witness_index"]) == (True, 1)
 
+
+def test_verify_bounds_core_density_exact_beyond_sixty(capsys):
     code, out, _ = run(capsys, "verify-bounds", "--lemma", "3", "--max-n", "70")
     assert code == 0
-    rows = list(_csv.DictReader(out.splitlines()))
+    rows = list(csv.DictReader(out.splitlines()))
     assert len(rows) == sum(range(2, 71))
     assert {row["holds"] for row in rows} == {"true"}
     assert all(row["lhs"] for row in rows)
@@ -407,6 +425,39 @@ def test_check_bytes_pinned(capsys, argv, digest):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# stdout digests taken from the code before the threshold predicates shared
+# one threshold test; a census point gives the same bytes at --jobs 1 and 2
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (("census", "--n", "30", "--p", "2"),
+         "a993d15384ca55360c9a29b27c67f968367677742d2a6ac06418f71c161a5ed4"),
+        (("census", "--n", "28", "--p", "3"),
+         "e8603f9a9c7a1a6ceac7ff3890ceeba788515300b32b9697817cc51c397d8060"),
+        (("census", "--n", "24", "--p", "5"),
+         "78e0c5d46c53e7b5523c88e2195593cb13bf642e58a32abbb6dae6381c6424f3"),
+        (("census", "--n", "22", "--p", "7"),
+         "30f38de85569a369822458db36f7e100bc12bef45011768ff58eedb0c9334392"),
+        (("theorem-check", "--n", "30", "--p", "2", "--c", "0.4"),
+         "5b464f03b467addad22468f4f11c1bd806895e61e053820cb0f787d0113ac757"),
+        (("theorem-check", "--n", "26", "--p", "3", "--c", "1.0"),
+         "bbc4dafc8ff0255631b59814a973ad4252f009d71a4b0cf0d1165d7e1742f9fd"),
+        (("theorem-check", "--n", "9", "--p", "2", "--c", "0.4551196133134187"),
+         "0df618b0bbfc2a18e398ba272668f19765112345e332787d4c16c2751be33a85"),
+        (("column", "--n", "9", "--p", "2", "--mu", "3,1,1,1,1,1,1",
+          "--c", "0.4551196133134187"),
+         "7eed5d08f748fd2f2b93a4a8d6f83f6e6cca2b43c924083a1886c22ca81b3831"),
+    ],
+    ids=["census-30-2", "census-28-3", "census-24-5", "census-22-7", "theorem-30-2",
+         "theorem-26-3", "theorem-9-2-boundary", "column-9-2-boundary"],
+)
+def test_census_and_theorem_check_bytes_pinned(capsys, argv, digest):
+    for jobs in (("--jobs", "1"), ("--jobs", "2")) if argv[0] == "census" else ((),):
+        code, out, _ = run(capsys, *argv, *jobs)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, jobs
 
 
 @pytest.mark.parametrize(

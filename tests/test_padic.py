@@ -8,6 +8,7 @@ from _oracles import brute_partitions
 from conftest import partitions_of, partitions_st
 from snchar.padic import (
     C_MIN,
+    _meets_threshold,
     _power_partitions,
     digit_representative,
     few_distinct_parts,
@@ -204,15 +205,18 @@ def test_power_block_witness_worked_example():
 
 
 def test_witness_matches_representative_largest_part():
-    # the predicate holds exactly when the digit representative's first part
-    # reaches the threshold
-    for n in range(2, 21):
-        for p in (2, 3):
-            for c in (0.39, 0.5, 1.0):
-                for lam in p_regular_partitions(n, p):
-                    rep = digit_representative(lam, p)
-                    expected = rep[0] >= threshold(n, c) * (1 - 1e-9)
-                    assert (power_block_witness(lam, p, c) is not None) == expected
+    # one threshold test and one digit rule: a witness exists exactly when the
+    # digit representative's first part meets the threshold, and few distinct
+    # parts imply a witness; 0.4551196133134187 puts threshold(9, c) on 3
+    for n in range(2, 31):
+        for p in (2, 3, 5, 7):
+            for lam in p_regular_partitions(n, p):
+                rep = digit_representative(lam, p)
+                for c in (0.39, 0.4, 0.5, 1.0, 0.4551196133134187):
+                    witness = power_block_witness(lam, p, c)
+                    assert (witness is not None) == _meets_threshold(rep[0], n, c), (lam, p, c)
+                    if few_distinct_parts(lam, p, c):
+                        assert witness is not None, (lam, p, c)
 
 
 def test_few_distinct_parts_examples():
@@ -220,15 +224,6 @@ def test_few_distinct_parts_examples():
     assert few_distinct_parts(P(9), 2, 0.4)
     # h = 3 with a tiny budget fails
     assert not few_distinct_parts(P(4, 2, 2, 1), 3, 1.0)
-
-
-def test_few_parts_implies_witness():
-    for n in range(2, 21):
-        for p in (2, 3):
-            for c in (0.39, 0.5):
-                for lam in p_regular_partitions(n, p):
-                    if few_distinct_parts(lam, p, c):
-                        assert power_block_witness(lam, p, c) is not None
 
 
 @given(partitions_st(24), st.sampled_from((2, 3, 5)))
