@@ -204,19 +204,29 @@ def test_power_block_witness_worked_example():
     assert witness == (1, 2)
 
 
+# 0.4551196133134187 puts threshold(9, c) on 3
+BOUNDARY_SCALES = (0.39, 0.4, 0.5, 1.0, 0.4551196133134187)
+
+
 def test_witness_matches_representative_largest_part():
     # one threshold test and one digit rule: a witness exists exactly when the
-    # digit representative's first part meets the threshold, and few distinct
-    # parts imply a witness; 0.4551196133134187 puts threshold(9, c) on 3
+    # digit representative's first part meets the threshold
     for n in range(2, 31):
         for p in (2, 3, 5, 7):
             for lam in p_regular_partitions(n, p):
                 rep = digit_representative(lam, p)
-                for c in (0.39, 0.4, 0.5, 1.0, 0.4551196133134187):
+                for c in BOUNDARY_SCALES:
                     witness = power_block_witness(lam, p, c)
                     assert (witness is not None) == _meets_threshold(rep[0], n, c), (lam, p, c)
+
+
+def test_few_parts_implies_witness():
+    for n in range(2, 31):
+        for p in (2, 3, 5, 7):
+            for lam in p_regular_partitions(n, p):
+                for c in BOUNDARY_SCALES:
                     if few_distinct_parts(lam, p, c):
-                        assert witness is not None, (lam, p, c)
+                        assert power_block_witness(lam, p, c) is not None, (lam, p, c)
 
 
 def test_few_distinct_parts_examples():
