@@ -231,13 +231,15 @@ class ColumnStore:
         return counts
 
 
-def _column_record(
-    n: int, p: int, mu: Partition, zero_count: int, c: float
-) -> ColumnDivisibilityRecord:
-    # The record of mu's column mod p, given its zero count.
+def _column_record(mu: Partition, p: int, zero_count: int, c: float) -> ColumnDivisibilityRecord:
+    # The record of mu's column mod p, given its zero count, checked against its core floor.
+    n = mu.n
     label = p_prime_part(mu, p)
     representative = digit_representative(label, p)
     core_floor = count_k_cores(n, representative[0]) if representative else 0
+    if zero_count < core_floor:
+        raise RuntimeError(f"zero count {zero_count} fell below core floor {core_floor} "
+                           f"on label {label}; this is a bug")
     if n >= 2:
         witness = power_block_witness(label, p, c)
         qualifies_threshold = witness is not None
@@ -260,29 +262,25 @@ def _column_record(
     )
 
 
-def column_divisibility(n: int, p: int, mu, c: float = DEFAULT_C) -> ColumnDivisibilityRecord:
-    """Zero statistics of the column of mu mod p, with threshold predicates
-    evaluated on its p-regular label."""
+def column_divisibility(mu, p: int, c: float = DEFAULT_C) -> ColumnDivisibilityRecord:
+    """Zero statistics of the column of mu mod p, over the partitions of
+    n = |mu|, with threshold predicates evaluated on its p-regular label."""
     _require_prime(p)
     _require_scale(c)
     mu = Partition(mu)
-    if mu.n != n:
-        raise ValueError(f"{mu} is not a partition of {n}")
-    zero_count = partition_count(n) - len(compute_column(n, mu, p))
-    return _column_record(n, p, mu, zero_count, c)
+    zero_count = partition_count(mu.n) - len(compute_column(mu, p))
+    return _column_record(mu, p, zero_count, c)
 
 
-def check_fiber_congruence(n: int, p: int, lam) -> FiberCongruenceReport:
-    """Verify that all mod-p columns across the fiber of lam are identical."""
+def check_fiber_congruence(lam, p: int) -> FiberCongruenceReport:
+    """Verify that all mod-p columns across the fiber of lam, classes of |lam|, agree."""
     lam = Partition(lam)
-    if lam.n != n:
-        raise ValueError(f"{lam} is not a partition of {n}")
     members = list(fiber_partitions(lam, p))
     reference_mu = members[0]
-    reference = _forward_column(n, reference_mu[::-1], p)
+    reference = _forward_column(reference_mu[::-1], p)
     mismatch = None
     for mu in members[1:]:
-        column = _forward_column(n, mu[::-1], p)
+        column = _forward_column(mu[::-1], p)
         if column != reference:
             # canonical order is descending, so the first differing row in
             # enumeration order is the largest
@@ -290,7 +288,7 @@ def check_fiber_congruence(n: int, p: int, lam) -> FiberCongruenceReport:
             mismatch = (reference_mu, mu, alpha)
             break
     return FiberCongruenceReport(
-        n=n,
+        n=lam.n,
         p=p,
         label=lam,
         fiber_size=len(members),
@@ -309,7 +307,7 @@ def check_core_vanishing(n: int, k: int) -> CoreVanishReport:
     classes = [mu for mu in enumerate_partitions(n) if mu[0] == k]
     violations = []
     for mu in classes:
-        rows = _forward_column(n, mu, None).items()
+        rows = _forward_column(mu, None).items()
         nonzero_cores = [(_mask_partition(mask), v) for mask, v in rows if not (mask >> k) & ~mask]
         # largest first, as the rows are enumerated
         violations += [(alpha, mu, v) for alpha, v in sorted(nonzero_cores, reverse=True)]
@@ -343,10 +341,10 @@ def _trie_census(n: int, p: int, labels: list[Partition], jobs: int) -> tuple[in
             lightest = loads.index(min(loads))
             shares[lightest] += groups[t]
             loads[lightest] += cost[t]
-        computed = _in_forks(lambda share: zero_counts(n, share, p), shares)
+        computed = _in_forks(lambda share: zero_counts(share, p), shares)
     else:
         shares = [representatives]
-        computed = [zero_counts(n, representatives, p)]
+        computed = [zero_counts(representatives, p)]
     by_representative = {}
     for share, counts in zip(shares, computed):
         by_representative.update(zip(share, counts))
@@ -455,8 +453,8 @@ def threshold_experiment(n: int, p: int, c: float) -> list[ColumnDivisibilityRec
 
     For each p-regular label passing the threshold predicate, takes the zero
     count of its digit representative's column from one zero_counts call
-    over all the representatives, builds its record and asserts the exact
-    inequality zero_count >= core_floor.  The asymptotic rate is only data.
+    over all the representatives and builds its record, which asserts
+    zero_count >= core_floor exactly.  The asymptotic rate is only data.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
@@ -467,13 +465,5 @@ def threshold_experiment(n: int, p: int, c: float) -> list[ColumnDivisibilityRec
         for lam in p_regular_partitions(n, p)
         if power_block_witness(lam, p, c) is not None
     ]
-    records = []
-    for rep, zero_count in zip(representatives, zero_counts(n, representatives, p)):
-        record = _column_record(n, p, rep, zero_count, c)
-        if record.zero_count < record.core_floor:
-            raise RuntimeError(
-                f"zero count {record.zero_count} fell below core floor "
-                f"{record.core_floor} on label {record.regular_label}; this is a bug"
-            )
-        records.append(record)
-    return records
+    counts = zero_counts(representatives, p)
+    return [_column_record(rep, p, zero, c) for rep, zero in zip(representatives, counts)]

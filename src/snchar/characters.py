@@ -73,9 +73,9 @@ class MemoCache:
         self.misses = 0
 
 
-def compute_column(n: int, mu, modulus: int | None = None) -> dict[Partition, int]:
-    """The nonzero character values on the class mu, keyed by row partition:
-    exact, or reduced mod a prime modulus into [1, modulus - 1].
+def compute_column(mu, modulus: int | None = None) -> dict[Partition, int]:
+    """The nonzero character values on the class mu, keyed by row partition
+    of n = |mu|: exact, or reduced mod a prime modulus into [1, modulus - 1].
 
     The whole column is built forward in one pass, adding a rim hook for
     each part of mu (smallest first) to every state of the previous stage,
@@ -84,20 +84,16 @@ def compute_column(n: int, mu, modulus: int | None = None) -> dict[Partition, in
     when it is not a key; the partitions of n are never enumerated.
     """
     mu = Partition(mu)
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    if mu.n != n:
-        raise ValueError(f"{mu} is not a partition of {n}")
     if modulus is not None and not is_prime(modulus):
         raise ValueError(f"modulus must be prime, got {modulus!r}")
-    return {_mask_partition(mask): v for mask, v in _forward_column(n, reversed(mu), modulus).items()}
+    return {_mask_partition(mask): v for mask, v in _forward_column(mu[::-1], modulus).items()}
 
 
-def _forward_column(n: int, parts, modulus: int | None) -> dict[int, int]:
-    # compute_column's pass, adding a rim hook for each of parts in the order
-    # given: the nonzero rows, keyed by n-bead mask.
+def _forward_column(parts, modulus: int | None) -> dict[int, int]:
+    # compute_column's pass, adding a rim hook for each of parts (a sequence)
+    # in the order given: the nonzero rows, keyed by n-bead mask, n = sum(parts).
     cache = MemoCache()
-    states = {(1 << n) - 1: 1}
+    states = {(1 << sum(parts)) - 1: 1}
     for t in parts:
         reached, moves = _accumulate(states.items(), t, modulus or 0)
         cache.misses += len(reached)
@@ -110,9 +106,9 @@ def _forward_column(n: int, parts, modulus: int | None) -> dict[int, int]:
     return states
 
 
-def zero_counts(n: int, labels, p: int) -> tuple[int, ...]:
-    """Zero count mod a prime p of the column of each class in labels, all
-    partitions of n, in the order given.
+def zero_counts(labels, p: int) -> tuple[int, ...]:
+    """Zero count mod a prime p of the column of each class in labels, in the
+    order given; the classes are partitions of one n, and no classes give ().
 
     The classes' ascending parts form a trie: a node of size m, the parts
     added so far, takes a step (m, t) to its child by adding a rim hook of
@@ -124,8 +120,9 @@ def zero_counts(n: int, labels, p: int) -> tuple[int, ...]:
     that reads it.
     """
     _require_prime(p)
-    if any(Partition(lam).n != n for lam in labels):
-        raise ValueError(f"every class must be a partition of {n}")
+    n, *others = {Partition(lam).n for lam in labels} or {0}  # no classes: an empty trie
+    if others:
+        raise ValueError("the classes must be partitions of one n")
     # The trie of the classes' ascending parts: node 0 is the empty prefix,
     # and its other nodes are numbered as they are met.
     child: dict[tuple[int, int], int] = {}  # (node, t) -> the node plus a part t

@@ -105,10 +105,18 @@ def _bound_report_row(report: bounds.BoundReport) -> dict:
     return row
 
 
+def _class_of_size(text: str, n: int) -> Partition:
+    # The partition that --mu or --lambda names, which must be one of --n.
+    lam = Partition.from_text(text)
+    if lam.n != n:
+        raise ValueError(f"|{lam}| = {lam.n} does not match n = {n}")
+    return lam
+
+
 def cmd_column(args) -> int:
     from . import census
 
-    rec = census.column_divisibility(args.n, args.p, Partition.from_text(args.mu), c=args.c)
+    rec = census.column_divisibility(_class_of_size(args.mu, args.n), args.p, c=args.c)
     _emit([_column_record_row(rec)], args.format)
     return 0
 
@@ -167,8 +175,8 @@ def cmd_fibers(args) -> int:
 
     failed = False
     if args.lam is not None:
-        lam = Partition.from_text(args.lam)
-        report = census.check_fiber_congruence(args.n, args.p, lam)
+        lam = _class_of_size(args.lam, args.n)
+        report = census.check_fiber_congruence(lam, args.p)
         rows = [
             {
                 "n": args.n,
@@ -184,7 +192,7 @@ def cmd_fibers(args) -> int:
     else:
         rows = []
         for lam in padic.p_regular_partitions(args.n, args.p):
-            report = census.check_fiber_congruence(args.n, args.p, lam)
+            report = census.check_fiber_congruence(lam, args.p)
             rows.append(
                 {
                     "n": args.n,
@@ -203,9 +211,7 @@ def cmd_theorem_check(args) -> int:
     from . import padic
 
     if args.lam is not None:
-        lam = Partition.from_text(args.lam)
-        if lam.n != args.n:
-            raise ValueError(f"|{lam}| = {lam.n} does not match n = {args.n}")
+        lam = _class_of_size(args.lam, args.n)
         witness = padic.power_block_witness(lam, args.p, args.c)
         row = {
             "n": args.n,
@@ -359,7 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="largest m (lemmas 1, hr; default 40)")
     sp.add_argument("--c", type=float, default=None,
                     help=f"threshold constant (lemma 3; default {DEFAULT_C})")
-    sp.set_defaults(func=cmd_verify_bounds)
+    # main checks the lemma's flags with this parser's error, so its usage shows
+    sp.set_defaults(func=cmd_verify_bounds, error=sp.error)
 
     sp = sub.add_parser("verify-core-vanish", parents=[common],
                         help="k-core rows vanish on classes with largest part k")
@@ -377,13 +384,13 @@ def main(argv=None) -> int:
         for flag in ("max_n", "max_k", "max_m", "c"):
             value = getattr(args, flag)
             if flag not in read and value is not None:
-                parser.error(f"--lemma {args.lemma} does not read --{flag.replace('_', '-')}")
+                args.error(f"--lemma {args.lemma} does not read --{flag.replace('_', '-')}")
             if flag in read and value is None:
                 setattr(args, flag, read[flag])
         if args.lemma == "1" and args.max_k == 0:
-            parser.error("--lemma 1 needs --max-k of at least 1")
+            args.error("--lemma 1 needs --max-k of at least 1")
         if args.lemma == "3" and args.max_n < 2:
-            parser.error("--lemma 3 needs --max-n of at least 2")
+            args.error("--lemma 3 needs --max-n of at least 2")
     try:
         return args.func(args)
     except BrokenPipeError:

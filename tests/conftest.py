@@ -21,16 +21,15 @@ def partitions_st(max_n: int, min_n: int = 0):
     return st.integers(min_n, max_n).flatmap(lambda n: st.sampled_from(partitions_of(n)))
 
 
-def inject_column_fault(monkeypatch, n, target, **swap):
-    """Make census._forward_column answer for the class target of n, its
-    parts given in any order, with the column of swap's mu and modulus, each
+def inject_column_fault(monkeypatch, target, **swap):
+    """Make census._forward_column answer for the class target, its parts
+    given in any order, with the column of swap's mu and modulus, each
     defaulting to the one asked for."""
     real = census._forward_column
 
-    def column(n_, mu_, modulus):
-        mu_ = tuple(mu_)
-        if n_ == n and tuple(sorted(mu_, reverse=True)) == tuple(target):
-            mu_, modulus = swap.get("mu", mu_), swap.get("modulus", modulus)
-        return real(n_, mu_, modulus)
+    def column(parts, modulus):
+        if tuple(sorted(parts, reverse=True)) == tuple(target):
+            parts, modulus = swap.get("mu", parts), swap.get("modulus", modulus)
+        return real(parts, modulus)
 
     monkeypatch.setattr(census, "_forward_column", column)

@@ -39,7 +39,7 @@ def test_criterion_01_column_orthogonality():
     pairs = 0
     for n in range(1, 11):
         labels = partitions_of(n)
-        columns = {mu: dense(compute_column(n, mu), n) for mu in labels}
+        columns = {mu: dense(compute_column(mu), n) for mu in labels}
         for i, mu in enumerate(labels):
             for nu in labels[i:]:
                 pairs += 1
@@ -56,7 +56,7 @@ def test_criterion_02_dimension_suite():
     ok = True
     for n in range(1, 15):
         ones = Partition((1,) * n)
-        column = list(dense(compute_column(n, ones), n))
+        column = list(dense(compute_column(ones), n))
         dims = [dimension(alpha) for alpha in partitions_of(n)]
         ok = ok and column == dims and sum(d * d for d in dims) == math.factorial(n)
     _report("02", ok, "first column = hook-length dimensions and sum dim^2 = n!, n <= 14")
@@ -117,7 +117,7 @@ def test_criterion_05_fiber_congruence():
         for p in (2, 3, 5):
             for lam in p_regular_partitions(n, p):
                 fibers += 1
-                if not check_fiber_congruence(n, p, lam).congruent:
+                if not check_fiber_congruence(lam, p).congruent:
                     violations += 1
     ok = violations == 0
     _report("05", ok, f"{fibers} fibers congruent mod p, n <= 12, p in {{2,3,5}}")
@@ -144,7 +144,7 @@ def test_criterion_07_core_floor():
         for p in (2, 3):
             for lam in p_regular_partitions(n, p):
                 rep = digit_representative(lam, p)
-                record = column_divisibility(n, p, rep)
+                record = column_divisibility(rep, p)
                 checked += 1
                 if record.zero_count < record.core_floor:
                     violations.append((n, p, lam))

@@ -32,7 +32,7 @@ def P(*parts):
 
 
 def test_column_record_s4_four_cycle():
-    rec = column_divisibility(4, 2, P(4))
+    rec = column_divisibility(P(4), 2)
     assert rec.zero_count == 1
     assert rec.total == 5
     assert rec.proportion == Fraction(1, 5)
@@ -44,7 +44,7 @@ def test_column_record_s4_four_cycle():
 
 
 def test_column_record_identity_class():
-    rec = column_divisibility(4, 2, P(1, 1, 1, 1))
+    rec = column_divisibility(P(1, 1, 1, 1), 2)
     # dimensions 1,3,2,3,1: exactly one even entry
     assert rec.zero_count == 1
     assert rec.proportion == Fraction(1, 5)
@@ -52,13 +52,21 @@ def test_column_record_identity_class():
 
 def test_column_validation():
     with pytest.raises(ValueError):
-        column_divisibility(4, 4, P(4))
-    with pytest.raises(ValueError):
-        column_divisibility(5, 2, P(4))
+        column_divisibility(P(4), 4)
+
+
+def test_column_record_checks_its_core_floor(monkeypatch):
+    # with p(n) k-cores counted, every record falls below its floor: the one
+    # record constructor raises for column_divisibility and the survey alike
+    monkeypatch.setattr(census, "count_k_cores", lambda n, k: partition_count(n))
+    with pytest.raises(RuntimeError, match=r"zero count 14 fell below core floor 22 on label 1,1,"):
+        column_divisibility(P(4, 2, 2), 2)
+    with pytest.raises(RuntimeError, match="fell below core floor"):
+        threshold_experiment(8, 2, 0.4)
 
 
 def test_column_small_n_has_no_threshold_fields():
-    rec = column_divisibility(1, 2, P(1))
+    rec = column_divisibility(P(1), 2)
     assert rec.qualifies_threshold is None
     assert rec.witness is None
     assert rec.qualifies_few_parts is None
@@ -70,21 +78,21 @@ def test_core_floor_invariant():
         for p in (2, 3):
             for lam in p_regular_partitions(n, p):
                 rep = digit_representative(lam, p)
-                rec = column_divisibility(n, p, rep, c=0.4)
+                rec = column_divisibility(rep, p, c=0.4)
                 assert rec.zero_count >= rec.core_floor
 
 
 def test_fiber_congruence_singleton_vacuous():
-    report = check_fiber_congruence(5, 2, P(5))
+    report = check_fiber_congruence(P(5), 2)
     assert report.congruent and report.fiber_size == 1
 
 
 def test_fiber_congruence_s3():
-    report = check_fiber_congruence(3, 2, P(1, 1, 1))
+    report = check_fiber_congruence(P(1, 1, 1), 2)
     assert report.fiber_size == 2
     assert report.congruent
-    col_a = dense(compute_column(3, P(1, 1, 1), 2), 3)
-    col_b = dense(compute_column(3, P(2, 1), 2), 3)
+    col_a = dense(compute_column(P(1, 1, 1), 2), 3)
+    col_b = dense(compute_column(P(2, 1), 2), 3)
     assert col_a == col_b == (1, 0, 1)
 
 
@@ -92,7 +100,7 @@ def test_fiber_congruence_exhaustive_small():
     for n in range(1, 11):
         for p in (2, 3):
             for lam in p_regular_partitions(n, p):
-                assert check_fiber_congruence(n, p, lam).congruent
+                assert check_fiber_congruence(lam, p).congruent
 
 
 @pytest.mark.parametrize("n", [5, 6])
@@ -102,8 +110,8 @@ def test_fiber_congruence_reports_first_differing_row(monkeypatch, n):
     # (2,2,1)) and in four at n = 6; the first in enumeration order is named
     lam = P(*[1] * n)
     reference_mu, mu = list(fiber_partitions(lam, 2))[:2]
-    inject_column_fault(monkeypatch, n, mu, modulus=None)
-    report = check_fiber_congruence(n, 2, lam)
+    inject_column_fault(monkeypatch, mu, modulus=None)
+    report = check_fiber_congruence(lam, 2)
     alpha = next(
         a for a in partitions_of(n) if mn_character(a, reference_mu, 2) != mn_character(a, mu)
     )
@@ -113,9 +121,7 @@ def test_fiber_congruence_reports_first_differing_row(monkeypatch, n):
 
 def test_fiber_congruence_validation():
     with pytest.raises(ValueError):
-        check_fiber_congruence(4, 2, P(3, 1, 1))
-    with pytest.raises(ValueError):
-        check_fiber_congruence(4, 2, P(2, 2))
+        check_fiber_congruence(P(2, 2), 2)
 
 
 def test_core_vanishing_k1_vacuous():
@@ -142,7 +148,7 @@ def test_core_vanishing_sweep_small():
 def test_core_vanishing_lists_nonzero_core_rows(monkeypatch):
     # the class (4,1,1) gets the identity column, so each 4-core of 6 shows
     # its dimension there; violations keep enumeration order
-    inject_column_fault(monkeypatch, 6, P(4, 1, 1), mu=P(1, 1, 1, 1, 1, 1))
+    inject_column_fault(monkeypatch, P(4, 1, 1), mu=P(1, 1, 1, 1, 1, 1))
     report = check_core_vanishing(6, 4)
     assert not report.ok
     assert report.violations == tuple(
@@ -157,7 +163,7 @@ def test_core_vanishing_probe_flags_exactly_the_k_cores(monkeypatch, n):
     # every class's column comes back as every row with value 1, so each
     # report lists exactly the rows the one-shift probe takes for k-cores
     rows = dict.fromkeys(characters._row_masks(n), 1)
-    monkeypatch.setattr(census, "_forward_column", lambda n_, parts, modulus: rows)
+    monkeypatch.setattr(census, "_forward_column", lambda parts, modulus: rows)
     for k in range(1, n + 1):
         cores = [alpha for alpha in partitions_of(n) if naive_is_core(alpha, k)]
         classes = [mu for mu in partitions_of(n) if mu[0] == k]
@@ -203,7 +209,7 @@ def test_census_matches_direct_per_class_count():
         for p in (2, 3):
             direct = 0
             for mu in partitions_of(n):
-                direct += dense(compute_column(n, mu, p), n).count(0)
+                direct += dense(compute_column(mu, p), n).count(0)
             assert table_census(n, p).record.divisible_count == direct
 
 
@@ -224,7 +230,7 @@ def test_census_representative_walk_matches_label_walk():
         for p in (2, 3, 5):
             columns = table_census(n, p).columns
             labels = [col.label for col in columns]
-            assert tuple(col.zero_count for col in columns) == zero_counts(n, labels, p), (n, p)
+            assert tuple(col.zero_count for col in columns) == zero_counts(labels, p), (n, p)
 
 
 def test_census_parallel_matches_serial():
@@ -401,10 +407,10 @@ def test_census_worker_failure_fails_the_census(monkeypatch, capsys, in_worker, 
     census_pid = os.getpid()
     real = census.zero_counts
 
-    def faulty(n, labels, p):
+    def faulty(labels, p):
         if (os.getpid() != census_pid) == in_worker:
             raise RuntimeError("injected fault")
-        return real(n, labels, p)
+        return real(labels, p)
 
     monkeypatch.setattr(census, "zero_counts", faulty)
     monkeypatch.setattr(census.os, "cpu_count", lambda: 2)
@@ -460,7 +466,7 @@ def test_threshold_experiment_matches_column_divisibility(n, p):
     records = threshold_experiment(n, p, 0.4)
     assert records
     for rec in records:
-        assert rec == column_divisibility(n, p, rec.mu, c=0.4)
+        assert rec == column_divisibility(rec.mu, p, c=0.4)
 
 
 def test_threshold_experiment_validation():

@@ -37,7 +37,7 @@ def test_single_hook_examples():
 
 def test_mod_requires_prime():
     with pytest.raises(ValueError):
-        compute_column(3, P(2, 1), modulus=6)
+        compute_column(P(2, 1), modulus=6)
 
 
 def test_mod_examples():
@@ -52,9 +52,9 @@ def test_mod_examples():
 def test_mod_matches_exact_reduction():
     for n in range(10):
         for beta in partitions_of(n):
-            exact = dense(compute_column(n, beta, None), n)
+            exact = dense(compute_column(beta, None), n)
             for p in (2, 3, 5, 7):
-                reduced = dense(compute_column(n, beta, p), n)
+                reduced = dense(compute_column(beta, p), n)
                 assert reduced == tuple(v % p for v in exact)
                 assert all(0 <= v < p for v in reduced)
 
@@ -70,21 +70,25 @@ def test_mod_matches_exact_on_samples():
 
 
 def test_compute_column_examples():
-    col = dense(compute_column(4, P(4)), 4)
+    col = dense(compute_column(P(4)), 4)
     assert col == (1, -1, 0, 1, -1)
     assert sum(v * v for v in col) == centralizer_order(P(4))
-    assert dense(compute_column(1, P(1)), 1) == (1,)
-    assert dense(compute_column(4, P(1, 1, 1, 1)), 4) == (1, 3, 2, 3, 1)
+    assert dense(compute_column(P(1)), 1) == (1,)
+    assert dense(compute_column(P(1, 1, 1, 1)), 4) == (1, 3, 2, 3, 1)
 
 
 def test_compute_column_validation():
+    # n is |mu|, so only the class and the modulus can be wrong
+    for mu in ((1, 3), (2, 0), (2.0, 1)):
+        with pytest.raises(ValueError):
+            compute_column(mu)
     with pytest.raises(ValueError):
-        compute_column(5, P(3, 1))
+        compute_column(P(2, 1), modulus=1)
 
 
 def test_column_keys_canonical_order():
     # the keys are the nonzero rows, each a Partition in canonical form
-    col = compute_column(6, P(3, 2, 1), modulus=3)
+    col = compute_column(P(3, 2, 1), modulus=3)
     assert all(type(alpha) is Partition for alpha in col)
     assert col == {
         alpha: v
@@ -95,8 +99,8 @@ def test_column_keys_canonical_order():
 
 def test_column_reduced_matches_mod_column():
     # an exact column reduced afterwards equals the column computed mod p
-    exact = dense(compute_column(12, P(5, 4, 3)), 12)
-    assert tuple(v % 3 for v in exact) == dense(compute_column(12, P(5, 4, 3), 3), 12)
+    exact = dense(compute_column(P(5, 4, 3)), 12)
+    assert tuple(v % 3 for v in exact) == dense(compute_column(P(5, 4, 3), 3), 12)
 
 
 @pytest.mark.parametrize("p", [None, 2, 3, 5], ids=["exact", "mod2", "mod3", "mod5"])
@@ -105,7 +109,7 @@ def test_forward_column_matches_backward_recursion(p):
     # strips them backward one entry at a time, so the routes share no code.
     for n in range(11):
         for mu in partitions_of(n):
-            assert dense(compute_column(n, mu, p), n) == tuple(
+            assert dense(compute_column(mu, p), n) == tuple(
                 mn_character(alpha, mu, p=p) for alpha in partitions_of(n)
             )
 
@@ -118,7 +122,7 @@ def test_forward_column_matches_backward_on_random_pairs():
         mu = rng.choice(partitions_of(n))
         p = rng.choice((2, 3, 5))
         expected = mn_character(partitions_of(n)[row], mu, p=p)
-        assert dense(compute_column(n, mu, p), n)[row] == expected
+        assert dense(compute_column(mu, p), n)[row] == expected
 
 
 @pytest.mark.parametrize("p, max_n", [(2, 40), (3, 40), (5, 30)])
@@ -127,7 +131,7 @@ def test_identity_column_counts_p_prime_degrees(p, max_n):
     # irreducible characters of degree prime to p, over the base-p digits a_i
     # of n; those are the nonzero rows of the identity column mod p.
     for n in range(max_n + 1):
-        nonzero = partition_count(n) - dense(compute_column(n, (1,) * n, p), n).count(0)
+        nonzero = partition_count(n) - dense(compute_column((1,) * n, p), n).count(0)
         assert nonzero == math.prod(
             multipartition_count(p**i, a) for i, a in enumerate(p_adic_digits(n, p))
         )
@@ -141,7 +145,7 @@ def test_compute_column_enumerates_no_partitions(monkeypatch):
 
     monkeypatch.setattr(characters, "enumerate_partitions", refuse)
     monkeypatch.setattr(characters, "_row_masks", refuse)
-    column = compute_column(60, (20,) + (2,) * 20, 2)
+    column = compute_column((20,) + (2,) * 20, 2)
     assert partition_count(60) - len(column) == 961347
 
 
@@ -155,7 +159,7 @@ def test_dimension_examples():
 def test_first_column_is_dimensions():
     for n in range(1, 15):
         ones = P(*([1] * n))
-        col = dense(compute_column(n, ones), n)
+        col = dense(compute_column(ones), n)
         dims = [dimension(alpha) for alpha in partitions_of(n)]
         assert list(col) == dims
         assert sum(d * d for d in dims) == math.factorial(n)
@@ -163,7 +167,7 @@ def test_first_column_is_dimensions():
 
 def test_column_orthogonality():
     for n in range(1, 9):
-        columns = {mu: dense(compute_column(n, mu), n) for mu in partitions_of(n)}
+        columns = {mu: dense(compute_column(mu), n) for mu in partitions_of(n)}
         labels = partitions_of(n)
         for i, mu in enumerate(labels):
             for nu in labels[i:]:
@@ -178,7 +182,7 @@ def test_core_rows_vanish():
             for mu in partitions_of(n):
                 if mu[0] != k:
                     continue
-                col = dense(compute_column(n, mu), n)
+                col = dense(compute_column(mu), n)
                 for alpha, value in zip(partitions_of(n), col):
                     if alpha in cores:
                         assert value == 0
@@ -197,13 +201,13 @@ def test_memo_cache_statistics(monkeypatch):
             made.append(self)
 
     monkeypatch.setattr(characters, "MemoCache", Recording)
-    column = compute_column(12, P(5, 4, 3), 3)
+    column = compute_column(P(5, 4, 3), 3)
     assert len(made) == 1
     assert len(made[0].table) == partition_count(12) - dense(column, 12).count(0)
     runs = []
     for _ in range(2):
         made.clear()
-        zero_counts(12, partitions_of(12), 3)
+        zero_counts(partitions_of(12), 3)
         assert len(made) == 1  # one set of counters for every step of the call
         runs.append((made[0].hits, made[0].misses, len(made[0].table)))
     assert runs[0][1] > 0
@@ -215,8 +219,8 @@ def test_zero_counts_any_classes_in_given_order():
     for n in range(9):
         classes = list(reversed(partitions_of(n))) + [partitions_of(n)[0]]
         for p in (2, 3):
-            expected = tuple(dense(compute_column(n, mu, p), n).count(0) for mu in classes)
-            assert zero_counts(n, classes, p) == expected
+            expected = tuple(dense(compute_column(mu, p), n).count(0) for mu in classes)
+            assert zero_counts(classes, p) == expected
 
 
 def test_zero_counts_one_class_steps_match_compute_column_on_random_pairs():
@@ -227,7 +231,7 @@ def test_zero_counts_one_class_steps_match_compute_column_on_random_pairs():
         n = rng.randint(14, 24)
         mu = rng.choice(partitions_of(n))
         p = rng.choice((2, 3, 5))
-        assert zero_counts(n, [mu], p) == (dense(compute_column(n, mu, p), n).count(0),), (mu, p)
+        assert zero_counts([mu], p) == (dense(compute_column(mu, p), n).count(0),), (mu, p)
 
 
 def test_zero_counts_lanes_match_compute_column_on_random_sets():
@@ -238,8 +242,8 @@ def test_zero_counts_lanes_match_compute_column_on_random_sets():
         n = rng.randint(14, 24)
         p = rng.choice((2, 3, 5, 7))
         classes = rng.sample(partitions_of(n), min(len(partitions_of(n)), rng.randint(20, 160)))
-        expected = tuple(dense(compute_column(n, mu, p), n).count(0) for mu in classes)
-        assert zero_counts(n, classes, p) == expected, (n, p)
+        expected = tuple(dense(compute_column(mu, p), n).count(0) for mu in classes)
+        assert zero_counts(classes, p) == expected, (n, p)
 
 
 @pytest.mark.parametrize("extra", [0, 1], ids=["lanes", "lanes-plus-one"])
@@ -253,8 +257,8 @@ def test_zero_counts_lane_chunk_boundaries(extra):
     classes = [mu for mu in partitions_of(n) if mu[0] == t][:lanes + extra]
     assert len(classes) == lanes + extra
     for p in (2, 3):
-        expected = tuple(dense(compute_column(n, mu, p), n).count(0) for mu in classes)
-        assert zero_counts(n, classes, p) == expected, p
+        expected = tuple(dense(compute_column(mu, p), n).count(0) for mu in classes)
+        assert zero_counts(classes, p) == expected, p
 
 
 @pytest.mark.parametrize("extra", [0, 1], ids=["lanes", "lanes-plus-one"])
@@ -270,8 +274,8 @@ def test_zero_counts_inner_lane_chunk_boundaries(extra):
     classes = [P(t, t, *alpha) for alpha in partitions_of(m) if alpha[0] <= t][:lanes + extra]
     assert len(classes) == lanes + extra
     for p in (2, 3):
-        expected = tuple(dense(compute_column(n, mu, p), n).count(0) for mu in classes)
-        assert zero_counts(n, classes, p) == expected, p
+        expected = tuple(dense(compute_column(mu, p), n).count(0) for mu in classes)
+        assert zero_counts(classes, p) == expected, p
 
 
 @pytest.mark.parametrize("n, p", [(24, 2), (22, 3)])
@@ -288,7 +292,7 @@ def test_zero_counts_builds_each_sizes_masks_once(monkeypatch, n, p):
     representatives = [digit_representative(lam, p) for lam in p_regular_partitions(n, p)]
     for classes in (representatives, partitions_of(n)):
         asked.clear()
-        zero_counts(n, classes, p)
+        zero_counts(classes, p)
         assert asked and max(asked.values()) == 1, sorted(size for size, k in asked.items() if k > 1)
 
 
@@ -300,7 +304,7 @@ def test_zero_counts_keeps_no_process_wide_state():
                 if isinstance(value, (dict, list, set)) and not name.startswith("__")}
 
     before = containers()
-    zero_counts(24, partitions_of(24), 2)
+    zero_counts(partitions_of(24), 2)
     assert containers() == before
     assert not [name for name, value in vars(characters).items() if hasattr(value, "cache_info")]
 
@@ -312,20 +316,24 @@ def test_zero_counts_wide_primes_match_backward_recursion(p):
     for n in range(1, 13):
         expected = tuple(sum(mn_character(alpha, mu, p) == 0 for alpha in partitions_of(n))
                          for mu in partitions_of(n))
-        assert zero_counts(n, partitions_of(n), p) == expected, n
+        assert zero_counts(partitions_of(n), p) == expected, n
 
 
 def test_zero_counts_degree_zero():
     # S_0 has one class, whose one character value is 1
-    assert zero_counts(0, [()], 2) == (0,)
-    assert zero_counts(0, [(), ()], 3) == (0, 0)
-    assert zero_counts(0, [], 2) == ()
+    assert zero_counts([()], 2) == (0,)
+    assert zero_counts([(), ()], 3) == (0, 0)
+    assert zero_counts([], 2) == ()
 
 
 def test_zero_counts_validation():
     with pytest.raises(ValueError):
-        zero_counts(4, [(3, 1)], 4)
+        zero_counts([(3, 1)], 4)
+    # classes of more than one size, the first class the larger or smaller
+    for classes in ([(3, 1), (2, 1)], [(2, 1), (3, 1)], [*partitions_of(4), (5,)]):
+        with pytest.raises(ValueError, match="one n"):
+            zero_counts(classes, 2)
     with pytest.raises(ValueError):
-        zero_counts(4, [(3, 1), (2, 1)], 2)
+        zero_counts([], 4)
     with pytest.raises(ValueError):
-        zero_counts(4, [(1, 3)], 2)
+        zero_counts([(1, 3)], 2)

@@ -138,7 +138,7 @@ def test_fibers_single_label(capsys):
 
 @pytest.mark.parametrize("lam", [None, "1,1,1,1,1"], ids=["all-labels", "one-label"])
 def test_fibers_exits_1_on_a_congruence_failure(monkeypatch, capsys, lam):
-    inject_column_fault(monkeypatch, 5, Partition((2, 2, 1)), modulus=None)
+    inject_column_fault(monkeypatch, Partition((2, 2, 1)), modulus=None)
     argv = ["fibers", "--n", "5", "--p", "2"] + (["--lambda", lam] if lam else [])
     code, out, _ = run(capsys, *argv)
     assert code == 1
@@ -160,11 +160,27 @@ def test_theorem_check_single_label(capsys):
 
 
 def test_theorem_check_rejects_a_label_of_another_size(capsys):
-    # the predicates take n from the label, so the command checks --lambda
-    # against --n itself
-    code, out, err = run(capsys, "theorem-check", "--n", "5", "--p", "2", "--c", "0.4",
-                         "--lambda", "3,3")
-    assert (code, out, err) == (2, "", "invalid input: |3,3| = 6 does not match n = 5\n")
+    # the column functions and the predicates take n from the class, so each
+    # command checks --mu or --lambda against --n itself, with one message
+    for argv, err in [
+        (("theorem-check", "--n", "5", "--p", "2", "--c", "0.4", "--lambda", "3,3"),
+         "|3,3| = 6 does not match n = 5"),
+        (("column", "--n", "6", "--p", "2", "--mu", "3,2"), "|3,2| = 5 does not match n = 6"),
+        (("fibers", "--n", "5", "--p", "3", "--lambda", "2,2"), "|2,2| = 4 does not match n = 5"),
+        # the size is checked before p
+        (("column", "--n", "5", "--p", "4", "--mu", "4"), "|4| = 4 does not match n = 5"),
+    ]:
+        assert run(capsys, *argv) == (2, "", f"invalid input: {err}\n"), argv
+
+
+def test_column_below_its_core_floor_exits_1(monkeypatch, capsys):
+    # with p(n) k-cores counted, every column falls below its floor
+    from snchar import census
+
+    monkeypatch.setattr(census, "count_k_cores", lambda n, k: census.partition_count(n))
+    code, out, err = run(capsys, "column", "--n", "8", "--p", "2", "--mu", "4,2,2")
+    assert (code, out) == (1, "")
+    assert err.startswith("check failed: zero count 14 fell below core floor 22 ")
 
 
 def test_theorem_check_survey(capsys):
@@ -259,7 +275,7 @@ def test_verify_core_vanish(capsys):
 
 
 def test_verify_core_vanish_exits_1_on_a_violation(monkeypatch, capsys):
-    inject_column_fault(monkeypatch, 6, Partition((4, 1, 1)), mu=Partition((1,) * 6))
+    inject_column_fault(monkeypatch, Partition((4, 1, 1)), mu=Partition((1,) * 6))
     code, out, _ = run(capsys, "verify-core-vanish", "--max-n", "6")
     assert code == 1
     assert [line for line in out.splitlines() if line.endswith("false")] == ["6,4,3,2,6,3,false"]
@@ -535,3 +551,20 @@ def test_verify_bounds_flag_its_lemma_does_not_read_exits_2(argv):
     with pytest.raises(SystemExit) as excinfo:
         main(["verify-bounds", *argv])
     assert excinfo.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--lemma", "3", "--max-n", "1"), "--lemma 3 needs --max-n of at least 2"),
+        (("--lemma", "2", "--max-m", "3"), "--lemma 2 does not read --max-m"),
+    ],
+    ids=["lemma3-max-n-1", "lemma2-max-m"],
+)
+def test_verify_bounds_lemma_errors_show_its_usage(capsys, argv, message):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["verify-bounds", *argv])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: snchar verify-bounds ")
+    assert err.endswith(f"snchar verify-bounds: error: {message}\n")
