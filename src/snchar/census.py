@@ -21,6 +21,7 @@ first use, so a census without a store pays for neither at start-up.
 
 from __future__ import annotations
 
+import math
 import os
 import sys
 from contextlib import suppress
@@ -29,7 +30,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .characters import _forward_column, compute_column, zero_counts
-from .cores import count_k_cores
+from .cores import count_k_cores, multipartition_count
 from .padic import (
     DEFAULT_C,
     PowerBlockWitness,
@@ -39,6 +40,7 @@ from .padic import (
     few_distinct_parts,
     fiber_partitions,
     fiber_size,
+    p_adic_digits,
     p_prime_part,
     p_regular_partitions,
     power_block_witness,
@@ -140,10 +142,11 @@ class CoreVanishReport(NamedTuple):
 
 
 class ColumnCacheError(ValueError):
-    """A census store that cannot be used: its directory cannot be made, or a
-    stored file cannot be read, has an unsupported version, fails its
-    checksum or does not hold the key, labels or counts asked for.  A
-    ValueError, so the command line exits 2 on it as on any other bad input."""
+    """A census store that cannot be used: its directory cannot be made, a
+    file cannot be written, or a stored file cannot be read, has an
+    unsupported version, fails its checksum or does not hold the key, labels
+    or counts asked for.  A ValueError, so the command line exits 2 on it as
+    on any other bad input."""
 
 
 def _checksum(body: str) -> str:
@@ -163,9 +166,10 @@ class ColumnStore:
     of each p-regular label's column; per-column files of version 1 are not read.
 
     Writes go through a temp file and an atomic replace, so concurrent readers
-    never observe partial content.  A load checks the file's checksum, its
-    key, that its labels are p_regular_partitions(n, p) in order, and that
-    each count lies in [0, p(n)].
+    never observe partial content; a write that fails removes its temp file.
+    A load checks the file's checksum, its key, that its labels are
+    p_regular_partitions(n, p) in order, and that each count lies in
+    [0, p(n)].
     """
 
     def __init__(self, root):
@@ -190,8 +194,13 @@ class ColumnStore:
         )
         path = self.path_for(n, p)
         tmp = path.with_name(path.name + f".tmp{os.getpid()}")
-        tmp.write_text(f"{body}\nchecksum={_checksum(body)}\n", encoding="ascii")
-        os.replace(tmp, path)
+        try:
+            tmp.write_text(f"{body}\nchecksum={_checksum(body)}\n", encoding="ascii")
+            os.replace(tmp, path)
+        except OSError as exc:  # a read-only or full disk, no permission
+            with suppress(OSError):
+                tmp.unlink()
+            raise ColumnCacheError(f"cannot write {path}: {exc}") from exc
         return path
 
     def load(self, n: int, p: int) -> tuple[int, ...]:
@@ -321,7 +330,7 @@ def check_core_vanishing(n: int, k: int) -> CoreVanishReport:
     )
 
 
-def _trie_census(n: int, p: int, labels: list[Partition], jobs: int) -> tuple[int, ...]:
+def _trie_census(labels: list[Partition], p: int, jobs: int) -> tuple[int, ...]:
     # Zero counts in label order, from the trie of the labels' digit
     # representatives: a representative's column is congruent to its
     # label's, and it has the fewest parts in the fiber.  A unit of work is
@@ -334,6 +343,7 @@ def _trie_census(n: int, p: int, labels: list[Partition], jobs: int) -> tuple[in
         groups.setdefault(rep[0] if rep else 0, []).append(rep)
     workers = min(jobs, len(groups), os.cpu_count() or 1) if hasattr(os, "fork") else 1
     if workers > 1:
+        n = labels[0].n
         cost = {t: len(group) * partition_count(n - t) for t, group in groups.items()}
         shares: list[list[Partition]] = [[] for _ in range(workers)]
         loads = [0] * workers
@@ -407,7 +417,9 @@ def table_census(n: int, p: int, jobs: int = 1, cache_dir=None) -> CensusResult:
     fiber size.  Output is canonicalized after the
     parallel phase, so repeated runs and different job counts give identical
     results.  The census runs in at most one process per CPU and per group
-    of representatives that share their largest part.
+    of representatives that share their largest part.  Stored and computed
+    counts alike must give Macdonald's count of the degrees prime to p, and
+    only counts that do are stored.
     """
     _require_prime(p)
     if n < 0:
@@ -422,10 +434,19 @@ def table_census(n: int, p: int, jobs: int = 1, cache_dir=None) -> CensusResult:
             zeros = store.load(n, p)
     hits = 0 if zeros is None else len(labels)
     if zeros is None:
-        zeros = _trie_census(n, p, labels, jobs)
-        if store is not None:
-            store.save(n, p, zeros)
+        zeros = _trie_census(labels, p, jobs)
     total = partition_count(n)
+    # Macdonald (1971): the degrees prime to p number the product, over the
+    # base-p digits a_t of n, of the (p**t)-multipartition counts of a_t.
+    # The last label, 1^n, has the identity's column mod p.
+    prime_to_p = math.prod(multipartition_count(p**t, a) for t, a in enumerate(p_adic_digits(n, p)))
+    if total - zeros[-1] != prime_to_p:
+        raise RuntimeError(
+            f"{total - zeros[-1]} degrees of S_{n} are prime to {p}, not Macdonald's "
+            f"{prime_to_p}; this is a bug"
+        )
+    if store is not None and not hits:
+        store.save(n, p, zeros)
     summaries = []
     divisible = 0
     covered = 0

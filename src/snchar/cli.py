@@ -39,7 +39,6 @@ _CSV_CELL = {
     bool: lambda value: "true" if value else "false",
     Fraction: _fraction_text,
     float: lambda value: f"{value:.12g}",
-    Partition: Partition.to_text,
 }
 _JSON_CELL = {Fraction: _fraction_text, Partition: Partition.to_text}
 
@@ -53,11 +52,17 @@ def _json_cell(value):
     return value if cell is None else cell(value)
 
 
-def _emit(rows: list[dict], fmt: str, comment: str | None = None) -> None:
+def _emit(rows: list[dict], fmt: str, comment: str | None = None,
+          record: dict | None = None) -> None:
+    # JSON is the rows, or {"record": record, "columns": rows} given a record;
+    # CSV is the comment line, then the rows.
     if fmt == "json":
         import json
 
         payload = [{k: _json_cell(v) for k, v in row.items()} for row in rows]
+        if record is not None:
+            payload = {"record": {k: _json_cell(v) for k, v in record.items()},
+                       "columns": payload}
         print(json.dumps(payload, indent=2))
         return
     if comment:
@@ -131,9 +136,7 @@ def cmd_census(args) -> int:
         {
             "n": args.n,
             "p": args.p,
-            "label": col.label,
-            "fiber_size": col.fiber_size,
-            "zero_count": col.zero_count,
+            **col._asdict(),
             "total": total,
             "zero_proportion": Fraction(col.zero_count, total),
             "zero_proportion_float": col.zero_count / total,
@@ -142,67 +145,41 @@ def cmd_census(args) -> int:
     ]
     summary = (
         f"census n={record.n} p={record.p} divisible={record.divisible_count} "
-        f"table_size={record.table_size} "
-        f"ratio={record.ratio.numerator}/{record.ratio.denominator} "
+        f"table_size={record.table_size} ratio={_fraction_text(record.ratio)} "
         f"ratio_float={float(record.ratio):.12g}"
     )
     print(
         f"cache: hits={result.cache_hits} misses={result.cache_misses}",
         file=sys.stderr,
     )
-    if args.format == "json":
-        import json
-
-        payload = {
-            "record": {
-                "n": record.n,
-                "p": record.p,
-                "divisible_count": record.divisible_count,
-                "table_size": record.table_size,
-                "ratio": _json_cell(record.ratio),
-                "ratio_float": float(record.ratio),
-            },
-            "columns": [{k: _json_cell(v) for k, v in row.items()} for row in rows],
-        }
-        print(json.dumps(payload, indent=2))
-    else:
-        _emit(rows, "csv", comment=summary)
+    _emit(rows, args.format, comment=summary,
+          record={**record._asdict(), "ratio_float": float(record.ratio)})
     return 0
 
 
 def cmd_fibers(args) -> int:
     from . import census, padic
 
+    # --lambda checks one label and lists its fiber, one row per class
+    one_label = args.lam is not None
+    if one_label:
+        labels = [_class_of_size(args.lam, args.n)]
+    else:
+        labels = padic.p_regular_partitions(args.n, args.p)
+    rows = []
     failed = False
-    if args.lam is not None:
-        lam = _class_of_size(args.lam, args.n)
+    for lam in labels:
         report = census.check_fiber_congruence(lam, args.p)
-        rows = [
-            {
+        for mu in padic.fiber_partitions(lam, args.p) if one_label else [None]:
+            rows.append({
                 "n": args.n,
                 "p": args.p,
                 "label": lam,
-                "mu": mu,
+                **({"mu": mu} if one_label else {}),
                 "fiber_size": report.fiber_size,
                 "congruent": report.congruent,
-            }
-            for mu in padic.fiber_partitions(lam, args.p)
-        ]
-        failed = not report.congruent
-    else:
-        rows = []
-        for lam in padic.p_regular_partitions(args.n, args.p):
-            report = census.check_fiber_congruence(lam, args.p)
-            rows.append(
-                {
-                    "n": args.n,
-                    "p": args.p,
-                    "label": lam,
-                    "fiber_size": report.fiber_size,
-                    "congruent": report.congruent,
-                }
-            )
-            failed = failed or not report.congruent
+            })
+        failed = failed or not report.congruent
     _emit(rows, args.format)
     return 1 if failed else 0
 
@@ -253,9 +230,7 @@ def cmd_verify_bounds(args) -> int:
             for k in range(1, min(n, args.max_k or n) + 1):
                 rows.append(_bound_report_row(check(n, k)))
     elif args.lemma == "hr":
-        for m in range(1, args.max_m + 1):
-            report = bounds.growth_envelope_report(m)
-            rows.append({"m": report.m, "count": report.count, "ratio": report.ratio})
+        rows = [bounds.growth_envelope_report(m)._asdict() for m in range(1, args.max_m + 1)]
     failed = any(row.get("holds") is False for row in rows)
     _emit(rows, args.format)
     return 1 if failed else 0
@@ -269,17 +244,7 @@ def cmd_verify_core_vanish(args) -> int:
     for n in range(1, args.max_n + 1):
         for k in range(1, n + 1):
             report = census.check_core_vanishing(n, k)
-            rows.append(
-                {
-                    "n": n,
-                    "k": k,
-                    "core_count": report.core_count,
-                    "class_count": report.class_count,
-                    "pairs_checked": report.pairs_checked,
-                    "violations": len(report.violations),
-                    "ok": report.ok,
-                }
-            )
+            rows.append({**report._asdict(), "violations": len(report.violations), "ok": report.ok})
             failed = failed or not report.ok
     _emit(rows, args.format)
     return 1 if failed else 0

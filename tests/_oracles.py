@@ -12,8 +12,10 @@ counting) give the values the columns must reproduce.  k_core, the abacus
 push-down, groups partitions by core and weight for the package's
 multipartition counts; it is itself checked against naive_core_terminals
 (exhaustive border-strip stripping) and greedy_core (stripping in a random
-order).  Nothing here imports snchar, so no fast path can share code with the
-oracle it is checked against.
+order).  rectangular_character gives a column on the class t^m in closed
+form, from the t-quotient that the same abacus reads off.  Nothing here
+imports snchar, so no fast path can share code with the oracle it is checked
+against.
 """
 
 import itertools
@@ -233,19 +235,26 @@ def greedy_core(parts, k, rng):
         parts = rng.choice(options)[0]
 
 
-def k_core(parts, k):
-    """(core, weight): the k-core of a partition and the number of k-rim-hooks
-    stripped to reach it, by the abacus push-down.
-
-    Part a_i of r parts is the bead a_i + r - 1 - i, on runner bead % k at
-    row bead // k; pushing every bead to the bottom of its runner strips all
-    the k-rim-hooks at once, and each row a bead falls is one of them.
-    """
+def _abacus(parts, k):
+    """The rows of the beads on each of k runners, highest first: part a_i of
+    r parts is the bead a_i + r - 1 - i, on runner bead % k at row bead // k."""
     r = len(parts)
     runners = [[] for _ in range(k)]
     for i, a in enumerate(parts):
         bead = a + r - 1 - i  # decreasing, so each runner's rows are too
         runners[bead % k].append(bead // k)
+    return runners
+
+
+def k_core(parts, k):
+    """(core, weight): the k-core of a partition and the number of k-rim-hooks
+    stripped to reach it, by the abacus push-down.
+
+    Pushing every bead to the bottom of its runner strips all the k-rim-hooks
+    at once, and each row a bead falls is one of them.
+    """
+    r = len(parts)
+    runners = _abacus(parts, k)
     weight = 0
     beads = []
     for j, rows in enumerate(runners):
@@ -255,6 +264,30 @@ def k_core(parts, k):
     beads.sort(reverse=True)
     core = tuple(bead - (r - 1 - i) for i, bead in enumerate(beads))
     return tuple(a for a in core if a > 0), weight
+
+
+def rectangular_character(alpha, t):
+    """chi^alpha on the class t^m, m = |alpha| / t, by the closed form
+    (James-Kerber 1981, ch. 2): 0 unless alpha has an empty t-core, else
+    (-1)^(the legs of any sequence of t-rim-hook removals) times
+    m! / prod |alpha^(i)|! * prod f^(alpha^(i)) over the t-quotient, read
+    off the abacus runners as partitions.  The multinomial and the degrees do
+    not depend on how the runners are ordered."""
+    alpha = tuple(alpha)
+    if k_core(alpha, t)[0]:
+        return 0
+    legs = 0
+    parts = alpha
+    while parts:
+        parts, leg = min(naive_rim_hook_removals(parts, t))
+        legs += leg
+    quotient = [
+        tuple(a for a in (row - (len(rows) - 1 - i) for i, row in enumerate(rows)) if a > 0)
+        for rows in _abacus(alpha, t)
+    ]
+    value = math.factorial(sum(alpha) // t) * math.prod(map(dimension, quotient))
+    value //= math.prod(math.factorial(sum(q)) for q in quotient)
+    return -value if legs % 2 else value
 
 
 def brute_multipartitions(k, m):

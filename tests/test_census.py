@@ -423,6 +423,39 @@ def test_census_worker_failure_fails_the_census(monkeypatch, capsys, in_worker, 
         os.waitpid(-1, os.WNOHANG)
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_census_checks_macdonalds_count(monkeypatch, capsys, jobs):
+    # one zero too many on the label 1^n breaks Macdonald's count of the
+    # degrees prime to p, whichever process computed it
+    real = census.zero_counts
+    ones = digit_representative(P(*[1] * 12), 2)
+
+    def off_by_one(labels, p):
+        return tuple(z + (rep == ones) for rep, z in zip(labels, real(labels, p)))
+
+    monkeypatch.setattr(census, "zero_counts", off_by_one)
+    monkeypatch.setattr(census.os, "cpu_count", lambda: 2)
+    code = main(["census", "--n", "12", "--p", "2", "--jobs", jobs])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("check failed: ") and "Macdonald" in captured.err
+
+
+def test_census_store_that_cannot_be_written_exits_2(monkeypatch, tmp_path, capsys):
+    def refuse(src, dst):
+        raise OSError(30, "Read-only file system")
+
+    monkeypatch.setattr(census.os, "replace", refuse)
+    code = main(["census", "--n", "6", "--p", "2", "--cache-dir", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    path = ColumnStore(tmp_path).path_for(6, 2)
+    assert captured.err.startswith(f"invalid input: cannot write {path}: ")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_census_cache_hits_on_second_run(tmp_path):
     first = table_census(10, 2, cache_dir=tmp_path)
     assert first.cache_hits == 0

@@ -4,7 +4,14 @@ from collections import Counter
 
 import pytest
 
-from _oracles import centralizer_order, dimension, mn_character, naive_is_core
+from _oracles import (
+    brute_partitions,
+    centralizer_order,
+    dimension,
+    mn_character,
+    naive_is_core,
+    rectangular_character,
+)
 from conftest import dense, partitions_of
 from snchar import characters
 from snchar.characters import compute_column, zero_counts
@@ -135,6 +142,14 @@ def test_identity_column_counts_p_prime_degrees(p, max_n):
         assert nonzero == math.prod(
             multipartition_count(p**i, a) for i, a in enumerate(p_adic_digits(n, p))
         )
+
+
+@pytest.mark.parametrize("t, m", [(2, 12), (3, 10), (4, 8), (5, 6), (6, 5), (7, 4)])
+def test_rectangular_class_matches_closed_form(t, m):
+    # the oracle's closed form over the t-quotient, on every row, signs included
+    column = compute_column((t,) * m)
+    for alpha in brute_partitions(t * m):
+        assert column.get(alpha, 0) == rectangular_character(alpha, t), alpha
 
 
 def test_compute_column_enumerates_no_partitions(monkeypatch):

@@ -397,7 +397,8 @@ def test_commands_load_only_the_modules_they_run():
 
 
 # stdout digests taken from the code before the k-core series were kept per
-# k; the sweeps at n = 200 are where those series do most of their work
+# k; the sweeps at n = 200 are where those series do most of their work.  The
+# hr digests come from the code before its rows were the reports' own fields.
 @pytest.mark.parametrize(
     "argv, digest",
     [
@@ -409,8 +410,12 @@ def test_commands_load_only_the_modules_they_run():
          "515bf6b769fc53ffaa846faa54aee5cfe371234b33edccce355274ff1a424758"),
         (("--lemma", "fiber", "--max-n", "60", "--format", "json"),
          "77e436fc0d91a27a2f2afeab3f20e9abc0d72c336d8cd165f2e246370a6baf47"),
+        (("--lemma", "hr", "--max-m", "40"),
+         "d57a62f6a13b5691582b078b6fddd7c92b0b6e0a3807790fd2ac20a14852cda1"),
+        (("--lemma", "hr", "--max-m", "40", "--format", "json"),
+         "afcc4987800b12e045e1a4ad2696d2c9baa1f6d23cc91e4ee48cb83e88192241"),
     ],
-    ids=["lemma2-200", "fiber-200", "lemma3-200", "fiber-60-json"],
+    ids=["lemma2-200", "fiber-200", "lemma3-200", "fiber-60-json", "hr-40", "hr-40-json"],
 )
 def test_verify_bounds_sweep_bytes_pinned(capsys, argv, digest):
     code, out, _ = run(capsys, "verify-bounds", *argv)
@@ -419,7 +424,8 @@ def test_verify_bounds_sweep_bytes_pinned(capsys, argv, digest):
 
 
 # stdout digests taken from the code that decoded every row of each column
-# before checking it; the checks now read the kernel's bead masks
+# before checking it; the checks now read the kernel's bead masks.  The
+# fibers --lambda JSON digest comes from the code that built its rows apart.
 @pytest.mark.parametrize(
     "argv, digest",
     [
@@ -433,9 +439,11 @@ def test_verify_bounds_sweep_bytes_pinned(capsys, argv, digest):
          "46933679247da24286ee046f52746de96c0a2c727df989755d4bd0a987917972"),
         (("fibers", "--n", "12", "--p", "2", "--lambda", "3,3,1,1,1,1,1,1"),
          "624a398fc0f631d326fd671854f36277ef11baa74b3e87bd2b5f5ba31f125031"),
+        (("fibers", "--n", "12", "--p", "2", "--lambda", "3,3,1,1,1,1,1,1", "--format", "json"),
+         "5d545582d99e83673721ac5a4992d9a680fec3f379aabdfb919523d029c1a3ab"),
     ],
     ids=["core-vanish-14", "core-vanish-10-json", "fibers-14-2", "fibers-12-3-json",
-         "fibers-12-2-label"],
+         "fibers-12-2-label", "fibers-12-2-label-json"],
 )
 def test_check_bytes_pinned(capsys, argv, digest):
     code, out, _ = run(capsys, *argv)
@@ -444,7 +452,8 @@ def test_check_bytes_pinned(capsys, argv, digest):
 
 
 # stdout digests taken from the code before the threshold predicates shared
-# one threshold test; a census point gives the same bytes at --jobs 1 and 2
+# one threshold test, and the census JSON one from the code before it went
+# through _emit; a census point gives the same bytes at --jobs 1 and 2
 @pytest.mark.parametrize(
     "argv, digest",
     [
@@ -456,6 +465,8 @@ def test_check_bytes_pinned(capsys, argv, digest):
          "78e0c5d46c53e7b5523c88e2195593cb13bf642e58a32abbb6dae6381c6424f3"),
         (("census", "--n", "22", "--p", "7"),
          "30f38de85569a369822458db36f7e100bc12bef45011768ff58eedb0c9334392"),
+        (("census", "--n", "12", "--p", "3", "--format", "json"),
+         "919aec88306256830bc9d3689c6ab93ed204230ff599344fbcdeab9b09531ebc"),
         (("theorem-check", "--n", "30", "--p", "2", "--c", "0.4"),
          "5b464f03b467addad22468f4f11c1bd806895e61e053820cb0f787d0113ac757"),
         (("theorem-check", "--n", "26", "--p", "3", "--c", "1.0"),
@@ -466,8 +477,8 @@ def test_check_bytes_pinned(capsys, argv, digest):
           "--c", "0.4551196133134187"),
          "7eed5d08f748fd2f2b93a4a8d6f83f6e6cca2b43c924083a1886c22ca81b3831"),
     ],
-    ids=["census-30-2", "census-28-3", "census-24-5", "census-22-7", "theorem-30-2",
-         "theorem-26-3", "theorem-9-2-boundary", "column-9-2-boundary"],
+    ids=["census-30-2", "census-28-3", "census-24-5", "census-22-7", "census-12-3-json",
+         "theorem-30-2", "theorem-26-3", "theorem-9-2-boundary", "column-9-2-boundary"],
 )
 def test_census_and_theorem_check_bytes_pinned(capsys, argv, digest):
     for jobs in (("--jobs", "1"), ("--jobs", "2")) if argv[0] == "census" else ((),):
