@@ -11,8 +11,9 @@ import argparse
 import csv
 import sys
 import time
+from contextlib import nullcontext
 
-from snchar.census import table_census
+from snchar.census import ColumnStore, table_census
 from snchar.padic import is_prime
 
 
@@ -57,11 +58,15 @@ def run(args: argparse.Namespace, stream) -> None:
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    if args.out:
-        with open(args.out, "w", newline="") as handle:
-            run(args, handle)
-    else:
-        run(args, sys.stdout)
+    try:
+        if args.cache_dir is not None:
+            ColumnStore(args.cache_dir)  # a store it cannot use fails before the header
+        out = open(args.out, "w", newline="") if args.out else nullcontext(sys.stdout)
+    except (OSError, ValueError) as exc:  # census.ColumnCacheError included
+        print(f"invalid input: {exc}", file=sys.stderr)
+        return 2
+    with out as stream:
+        run(args, stream)
     return 0
 
 

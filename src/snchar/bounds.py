@@ -4,8 +4,8 @@ Every comparison here is exact big-integer or rational arithmetic; floats
 appear only in diagnostic output fields.  Core counts come from their
 generating function, so every check is exact at any n; its series for each k
 is built once and shared by every n of a sweep.  The fiber identity ties
-those counts to the pentagonal recurrence and the multipartition
-convolution, which shares nothing with that series but p(n).
+those counts to the pentagonal recurrence for p(n) and to the multipartition
+counts' recurrence over divisor sums, three routes that share no code.
 """
 
 from __future__ import annotations

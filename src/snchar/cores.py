@@ -14,8 +14,9 @@ rests on.
 The k-core count of n is one dot product of the partition numbers with the
 series of prod_j (1 - x^j)^k, which is built once per k by a recurrence over
 the pentagonal numbers and extended in place as n grows.  Multipartition
-counts come from a separate convolution of the partition numbers, so the
-fiber identity compares two routes that share nothing but p(n).
+counts come from their own recurrence over the divisor sums sigma(j), also
+grown in place per k, so the fiber identity compares three routes that share
+no code: pentagonal p(n), the pentagonal series, and sigma.
 
 _rim_hook_options, one rim-hook removal, has no caller in the
 package; it is kept only for the benchmark tracer's hook in snchar.characters.
@@ -106,8 +107,8 @@ def count_k_cores(n: int, k: int) -> int:
     Exact at any n; rows are cached per n, so sweeping k costs one row, and
     each row is one dot product per k with a series built once per k.  The
     tests check it against an enumeration of partitions by the hook criterion,
-    which keeps the convolution-based multipartition counts it is compared
-    with in the fiber identity honest.
+    which keeps the divisor-sum multipartition counts it is compared with in
+    the fiber identity honest.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
@@ -118,41 +119,34 @@ def count_k_cores(n: int, k: int) -> int:
     return _core_count_row(n)[k]
 
 
-_pk_cache: dict[int, list[int]] = {}
+# Divisor sums [0, sigma(1), sigma(2), ...], sieved in place as m grows, and
+# k -> [p_k(0), p_k(1), ...], each series grown in place like _euler_powers.
+_divisor_sums: list[int] = [0]
+_multipartitions: dict[int, list[int]] = {}
 
 
 def multipartition_count(k: int, m: int) -> int:
     """Number of k-component multipartitions of m.
 
-    Coefficient of q**m in the k-th power of the partition generating series,
-    by about 2 log2 k convolutions (squaring); exact, cached per k.  A series
-    too short for m is rebuilt to at least twice its length, so a sweep over
-    m rebuilds it a logarithmic number of times.  It shares nothing with the
-    k-core series but p(n), which keeps the fiber identity an independent
-    cross-check.
+    Coefficient of q**m in P(q)**k, P the partition generating series.  Since
+    q P'/P = sum_j sigma(j) q**j (sigma the divisor sum), the coefficients
+    satisfy m f_m = k sum_{1 <= j <= m} sigma(j) f_{m-j}; exact, and grown in
+    place per k.  It shares no code with p(n) or the k-core series, which
+    keeps the fiber identity a cross-check of three independent routes.
     """
     if k < 1:
         raise ValueError("k must be positive")
     if m < 0:
         raise ValueError("m must be non-negative")
-    series = _pk_cache.get(k)
-    if series is None or len(series) <= m:
-        top = max(m, 2 * len(series or ()))
-        series, power = None, [partition_count(j) for j in range(top + 1)]
-        for i in range(k.bit_length()):
-            if i:
-                power = _convolve(power, power, top)  # P**(2**i)
-            if k >> i & 1:
-                series = power if series is None else _convolve(series, power, top)
-        _pk_cache[k] = series
-    return series[m]
-
-
-def _convolve(a: list[int], b: list[int], m: int) -> list[int]:
-    out = [0] * (m + 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j in range(m + 1 - i):
-                out[i + j] += ai * b[j]
-    return out
-
+    f = _multipartitions.setdefault(k, [1])
+    if len(f) <= m:
+        sigma = _divisor_sums
+        start = len(sigma)
+        if start <= m:
+            sigma.extend([0] * (m + 1 - start))
+            for d in range(1, m + 1):
+                for j in range(-(-start // d) * d, m + 1, d):
+                    sigma[j] += d
+        for i in range(len(f), m + 1):
+            f.append(k * sum(sigma[j] * f[i - j] for j in range(1, i + 1)) // i)
+    return f[m]

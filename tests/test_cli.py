@@ -398,7 +398,9 @@ def test_commands_load_only_the_modules_they_run():
 
 # stdout digests taken from the code before the k-core series were kept per
 # k; the sweeps at n = 200 are where those series do most of their work.  The
-# hr digests come from the code before its rows were the reports' own fields.
+# hr digests come from the code before its rows were the reports' own fields,
+# and the lemma 1 digests from the code that powered the partition series by
+# squaring instead of the divisor-sum recurrence.
 @pytest.mark.parametrize(
     "argv, digest",
     [
@@ -414,8 +416,13 @@ def test_commands_load_only_the_modules_they_run():
          "d57a62f6a13b5691582b078b6fddd7c92b0b6e0a3807790fd2ac20a14852cda1"),
         (("--lemma", "hr", "--max-m", "40", "--format", "json"),
          "afcc4987800b12e045e1a4ad2696d2c9baa1f6d23cc91e4ee48cb83e88192241"),
+        (("--lemma", "1", "--max-k", "40", "--max-m", "60"),
+         "43170401d73b9feb177d72e473ecf6ad3757a04fc76605a909f3e29355a43fb9"),
+        (("--lemma", "1", "--max-k", "12", "--max-m", "120", "--format", "json"),
+         "15bb006ff3b2b006472caf3a8560036480751b7956c67f6311d2bf00330346ae"),
     ],
-    ids=["lemma2-200", "fiber-200", "lemma3-200", "fiber-60-json", "hr-40", "hr-40-json"],
+    ids=["lemma2-200", "fiber-200", "lemma3-200", "fiber-60-json", "hr-40", "hr-40-json",
+         "lemma1-40-60", "lemma1-12-120-json"],
 )
 def test_verify_bounds_sweep_bytes_pinned(capsys, argv, digest):
     code, out, _ = run(capsys, "verify-bounds", *argv)

@@ -153,9 +153,11 @@ def test_multipartition_count_against_enumeration():
 
 
 def test_multipartition_count_against_repeated_convolution():
-    # the series is powered by squaring, and rebuilt by doubling as m grows;
-    # k - 1 plain products with the partition series give the same terms
-    cores._pk_cache.clear()
+    # the series comes from the divisor-sum recurrence, grown in place per k;
+    # k - 1 plain products with the partition series, which share no code
+    # with it, give the same terms
+    cores._multipartitions.clear()
+    del cores._divisor_sums[1:]
     base = [partition_count(m) for m in range(61)]
     series = base
     for k in range(1, 41):
@@ -166,11 +168,13 @@ def test_multipartition_count_against_repeated_convolution():
 
 def test_counts_do_not_depend_on_call_order():
     # the k-core series and the multipartition series are cached per k and
-    # grown in place, so no order of requests may change a value
+    # grown in place, and so is the divisor-sum list they read, so no order of
+    # requests may change a value
     def sweep(core_keys, multi_keys):
         cores._core_count_row.cache_clear()
         cores._euler_powers.clear()
-        cores._pk_cache.clear()
+        cores._multipartitions.clear()
+        del cores._divisor_sums[1:]
         return ({key: count_k_cores(*key) for key in core_keys},
                 {key: multipartition_count(*key) for key in multi_keys})
 
