@@ -30,7 +30,10 @@ here forward, adding rim hooks instead of removing them:
   each class's nonzero rows.  Nothing outlives the call.
 
 Both routes add their hooks in one loop (_accumulate), and take their moves
-from _hooks, so the bead-move and leg-sign rule lives in one function.
+from _hooks, so the bead-move and leg-sign rule lives in one function.  Its
+removal form, _rim_hook_options, sits next to it on the same masks; nothing
+in the package calls it until the step into n pulls its sources instead of
+pushing to its targets.
 
 Both add the largest part k last, so they never reach a k-core row: those
 zeros hold by construction.  The core vanishing check adds k first instead
@@ -45,11 +48,8 @@ from __future__ import annotations
 
 from collections import Counter
 
-# Nothing in the package calls this; it is bound here only for the benchmark
-# tracer's probe hook, and goes when the benchmark drops that hook.
-from .cores import _rim_hook_options  # noqa: F401
-from .padic import _require_prime, is_prime
-from .partitions import Partition, _beta_mask, _mask_partition, enumerate_partitions, partition_count
+from .padic import _require_prime
+from .partitions import Partition, _bead_mask, _mask_partition, enumerate_partitions, partition_count
 
 
 class MemoCache:
@@ -84,8 +84,8 @@ def compute_column(mu, modulus: int | None = None) -> dict[Partition, int]:
     when it is not a key; the partitions of n are never enumerated.
     """
     mu = Partition(mu)
-    if modulus is not None and not is_prime(modulus):
-        raise ValueError(f"modulus must be prime, got {modulus!r}")
+    if modulus is not None:
+        _require_prime(modulus)
     return {_mask_partition(mask): v for mask, v in _forward_column(mu[::-1], modulus).items()}
 
 
@@ -93,7 +93,7 @@ def _forward_column(parts, modulus: int | None) -> dict[int, int]:
     # compute_column's pass, adding a rim hook for each of parts (a sequence)
     # in the order given: the nonzero rows, keyed by n-bead mask, n = sum(parts).
     cache = MemoCache()
-    states = {(1 << sum(parts)) - 1: 1}
+    states = {_bead_mask((), sum(parts)): 1}
     for t in parts:
         reached, moves = _accumulate(states.items(), t, modulus or 0)
         cache.misses += len(reached)
@@ -249,6 +249,21 @@ def _hooks(mask: int, t: int) -> tuple[list, list]:
     return plus, minus
 
 
+def _rim_hook_options(parts: tuple, t: int) -> list[tuple[Partition, int]]:
+    # Every rim hook of length t removed from parts, as (the part left, leg
+    # length) pairs: a bead x with x - t vacant and x >= t moves to x - t,
+    # and the leg length is the number of beads strictly between.
+    mask = _bead_mask(parts, len(parts))
+    cand = mask & ~(mask << t) & ~((1 << t) - 1)
+    out = []
+    while cand:
+        bit = cand & -cand
+        cand ^= bit
+        leg = (mask & (bit - (bit >> (t - 1)))).bit_count()
+        out.append((_mask_partition(mask ^ bit ^ (bit >> t)), leg))
+    return out
+
+
 def _accumulate(pairs, t: int, negative: int) -> tuple[dict, int]:
     # Every rim hook of length t added to the mask of each (mask, value) pair
     # with a nonzero value, summed per new mask, and the number of moves: a +
@@ -270,9 +285,5 @@ def _accumulate(pairs, t: int, negative: int) -> tuple[dict, int]:
 
 
 def _row_masks(n: int) -> tuple[int, ...]:
-    # The n-bead mask of each partition of n, in enumerate_partitions(n) order:
-    # the beads of its parts, shifted past one bead per zero part.
-    return tuple(
-        (_beta_mask(alpha) << (n - len(alpha))) | ((1 << (n - len(alpha))) - 1)
-        for alpha in enumerate_partitions(n)
-    )
+    # The n-bead mask of each partition of n, in enumerate_partitions(n) order.
+    return tuple(_bead_mask(alpha, n) for alpha in enumerate_partitions(n))

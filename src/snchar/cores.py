@@ -17,45 +17,13 @@ the pentagonal numbers and extended in place as n grows.  Multipartition
 counts come from their own recurrence over the divisor sums sigma(j), also
 grown in place per k, so the fiber identity compares three routes that share
 no code: pentagonal p(n), the pentagonal series, and sigma.
-
-_rim_hook_options, one rim-hook removal, has no caller in the
-package; it is kept only for the benchmark tracer's hook in snchar.characters.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .partitions import _parts_from_beads, partition_count
-
-
-def _rim_hook_options(parts: tuple, length: int) -> list[tuple[tuple, int]]:
-    """All single rim-hook removals of the given length from a raw part tuple.
-
-    On the beta-set: a hook of length t is a bead x with x - t vacant, and the
-    leg length of that rim hook is the number of beads strictly between x - t
-    and x.  Returns (child parts, leg length) pairs; empty list when no such
-    hook exists.
-    """
-    r = len(parts)
-    if r == 0 or length > parts[0] + r - 1:
-        return []
-    beta = [parts[i] + r - 1 - i for i in range(r)]
-    occupied = set(beta)
-    out = []
-    for pos, x in enumerate(beta):
-        y = x - length
-        if y < 0 or y in occupied:
-            continue
-        leg = 0
-        for z in beta[pos + 1:]:
-            if z > y:
-                leg += 1
-            else:
-                break
-        new_beta = beta[:pos] + beta[pos + 1: pos + 1 + leg] + [y] + beta[pos + 1 + leg:]
-        out.append((_parts_from_beads(tuple(new_beta)), leg))
-    return out
+from .partitions import partition_count
 
 
 # k -> [e_k(0), e_k(1), ...], e_k(m) = [x^m] prod_{j>=1} (1 - x^j)^k; each

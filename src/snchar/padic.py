@@ -36,6 +36,9 @@ C_MIN = math.sqrt(1.5) / math.pi
 DEFAULT_C = 0.4
 
 
+# Every label of a census asks again about the same p.  Typed, so that a float
+# never shares the entry of an int subclass of equal value.
+@lru_cache(maxsize=None, typed=True)
 def is_prime(m: int) -> bool:
     if not isinstance(m, int) or m < 2:
         return False

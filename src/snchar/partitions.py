@@ -6,8 +6,9 @@ allowed set, in reverse-lexicographic order: enumerate_partitions allows every
 part, and padic steps it over the parts prime to p and over the powers of p.
 Everything here is exact integer arithmetic; counting never touches floats.
 A partition with r parts lam_1 >= ... >= lam_r has the beads
-lam_i + r - i (_beta_mask packs them into a bitmask, _parts_from_beads
-decodes them back, and _mask_partition decodes a mask padded to more beads).
+lam_i + r - i on r beads, and on s >= r beads each bead moves up by s - r and
+beads fill 0, ..., s - r - 1.  Every bead mask (bit x set iff x is a bead) is
+built by _bead_mask and read back by _mask_partition, whatever its padding.
 Partitions serialize as comma-separated decreasing part lists ("4,1"), with
 "-" for the empty partition.  That textual form is the one used in CLI
 arguments, CSV cells, and cache keys.
@@ -155,31 +156,20 @@ def exponent_form(lam) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-def _parts_from_beads(beads_desc: tuple) -> tuple:
-    # beads_desc: strictly decreasing bead positions; inverse of the beta map.
-    r = len(beads_desc)
-    parts = []
-    for i, x in enumerate(beads_desc):
-        a = x - (r - 1 - i)
-        if a <= 0:
-            break  # parts are weakly decreasing, so the rest are zeros
-        parts.append(a)
-    return tuple(parts)
-
-
-def _beta_mask(parts: tuple) -> int:
-    # Bead bitmask with exactly len(parts) beads (bit x set iff x is a bead).
-    r = len(parts)
+def _bead_mask(parts: tuple, beads: int) -> int:
+    # The bead mask of parts on beads >= len(parts) beads: the beads of the
+    # parts, built as a small int, then shifted past one bead per zero part.
+    pad = beads - len(parts)
     mask = 0
-    shift = r - 1
+    shift = len(parts) - 1
     for a in parts:
         mask |= 1 << (a + shift)
         shift -= 1
-    return mask
+    return (mask << pad) | ((1 << pad) - 1)
 
 
 def _mask_partition(mask: int) -> Partition:
-    # Inverse of a bead mask padded with beads at 0, 1, ...: shift off that
-    # run of beads; each remaining bead's part is the vacancies below it.
+    # Inverse of _bead_mask at any padding: shift off the run of beads at
+    # 0, 1, ...; each remaining bead's part is the vacancies below it.
     digits = bin(mask >> ((mask ^ (mask + 1)).bit_length() - 1))[2:]
     return Partition._unchecked(tuple(digits.count("0", i) for i, d in enumerate(digits) if d == "1"))

@@ -13,9 +13,10 @@ push-down, groups partitions by core and weight for the package's
 multipartition counts; it is itself checked against naive_core_terminals
 (exhaustive border-strip stripping) and greedy_core (stripping in a random
 order).  rectangular_character gives a column on the class t^m in closed
-form, from the t-quotient that the same abacus reads off.  Nothing here
-imports snchar, so no fast path can share code with the oracle it is checked
-against.
+form, from the t-quotient that the same abacus reads off, and
+rectangular_zero_count its zero count mod p from the quotient's hook
+lengths.  Nothing here imports snchar, so no fast path can share code with
+the oracle it is checked against.
 """
 
 import itertools
@@ -288,6 +289,38 @@ def rectangular_character(alpha, t):
     value = math.factorial(sum(alpha) // t) * math.prod(map(dimension, quotient))
     value //= math.prod(math.factorial(sum(q)) for q in quotient)
     return -value if legs % 2 else value
+
+
+def _valuation(x, p):
+    v = 0
+    while x % p == 0:
+        x //= p
+        v += 1
+    return v
+
+
+def rectangular_zero_count(t, m, p):
+    """Rows of the column on the class t^m that are 0 mod p, by the closed
+    form of rectangular_character: f^q = |q|! / prod of q's hook lengths, so
+    |chi^alpha(t^m)| = m! / prod of the hook lengths over the t-quotient.  A
+    row is therefore nonzero mod p exactly when alpha has an empty t-core
+    and its quotient's hook lengths have total p-valuation v_p(m!).  The
+    rows with an empty t-core are the t-multipartitions of m, counted here
+    by size and valuation, one runner at a time."""
+    # by_size[j][v]: the partitions of j whose hook lengths have p-valuation v
+    by_size = [
+        Counter(sum(_valuation(h, p) for h in naive_hooks(q).values()) for q in brute_partitions(j))
+        for j in range(m + 1)
+    ]
+    runners = Counter({(0, 0): 1})  # (size, valuation) -> multipartitions so far
+    for _ in range(t):
+        grown = Counter()
+        for (size, v), count in runners.items():
+            for j in range(m - size + 1):
+                for w, c in by_size[j].items():
+                    grown[size + j, v + w] += count * c
+        runners = grown
+    return bounded_count(t * m, t * m) - runners[m, _valuation(math.factorial(m), p)]
 
 
 def brute_multipartitions(k, m):

@@ -11,13 +11,14 @@ from _oracles import (
     mn_character,
     naive_is_core,
     rectangular_character,
+    rectangular_zero_count,
 )
 from conftest import dense, partitions_of
 from snchar import characters
 from snchar.characters import compute_column, zero_counts
 from snchar.cores import multipartition_count
 from snchar.padic import digit_representative, p_adic_digits, p_regular_partitions
-from snchar.partitions import Partition, enumerate_partitions, partition_count
+from snchar.partitions import Partition, _bead_mask, _mask_partition, enumerate_partitions, partition_count
 
 
 def P(*parts):
@@ -152,6 +153,25 @@ def test_rectangular_class_matches_closed_form(t, m):
         assert column.get(alpha, 0) == rectangular_character(alpha, t), alpha
 
 
+@pytest.mark.parametrize("t, m, p", [(2, 4, 2), (2, 6, 3), (3, 4, 2), (4, 3, 3), (3, 3, 5)])
+def test_rectangular_zero_count_matches_closed_form(t, m, p):
+    # the mod-p count from the quotient's hook lengths, against the values
+    assert rectangular_zero_count(t, m, p) == sum(
+        rectangular_character(alpha, t) % p == 0 for alpha in brute_partitions(t * m)
+    )
+
+
+@pytest.mark.parametrize(
+    "t, m, p", [(2, 15, 2), (3, 10, 2), (2, 16, 3), (4, 8, 3), (5, 6, 2), (2, 20, 2), (6, 5, 5), (5, 5, 5)]
+)
+def test_zero_counts_rectangular_class_matches_closed_form(t, m, p):
+    # t^m among every class of n whose largest part is t, so the step
+    # (n - t, t) into n runs with its lane among many
+    labels = [(t,) + rest for rest in brute_partitions(t * m - t, t)]
+    counts = zero_counts(labels, p)
+    assert counts[labels.index((t,) * m)] == rectangular_zero_count(t, m, p)
+
+
 def test_compute_column_enumerates_no_partitions(monkeypatch):
     # a column is decoded from the kernel's last bead masks, so its cost is
     # its nonzero rows, not the 966 467 partitions of 60
@@ -201,6 +221,23 @@ def test_core_rows_vanish():
                 for alpha, value in zip(partitions_of(n), col):
                     if alpha in cores:
                         assert value == 0
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_hooks_added_and_removed_agree(n):
+    # the two directions of the bead rule: _rim_hook_options removes each rim
+    # hook that _hooks adds to a partition of n, with a leg of the parity of
+    # its sign (+ even, - odd), and removes no other
+    for t in range(1, n + 2):
+        sources = {}
+        for source in partitions_of(n):
+            for parity, targets in enumerate(characters._hooks(_bead_mask(source, n + t), t)):
+                for target in targets:
+                    sources.setdefault(_mask_partition(target), set()).add((source, parity))
+        for target in partitions_of(n + t):
+            options = characters._rim_hook_options(target, t)
+            assert len({child for child, _ in options}) == len(options)
+            assert {(child, leg & 1) for child, leg in options} == sources.get(target, set())
 
 
 def test_memo_cache_statistics(monkeypatch):

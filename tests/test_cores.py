@@ -15,7 +15,8 @@ from _oracles import (
 )
 from conftest import partitions_of, partitions_st
 from snchar import cores
-from snchar.cores import _rim_hook_options, count_k_cores, multipartition_count
+from snchar.characters import _rim_hook_options
+from snchar.cores import count_k_cores, multipartition_count
 from snchar.partitions import partition_count
 
 

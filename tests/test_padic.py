@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from _oracles import brute_partitions
 from conftest import partitions_of, partitions_st
+from snchar.census import table_census
 from snchar.padic import (
     C_MIN,
     _meets_threshold,
@@ -32,6 +33,26 @@ def P(*parts):
 def test_is_prime():
     primes = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29}
     assert {m for m in range(31) if is_prime(m)} == primes
+
+
+def test_is_prime_trial_division_runs_once_per_p():
+    # every label of a census checks p again; a large p made each check a
+    # long trial division
+    is_prime.cache_clear()
+    table_census(12, 10007)
+    assert is_prime.cache_info().misses <= 3
+
+
+def test_is_prime_cache_keeps_types_apart():
+    # an untyped cache keys an int subclass and a float of equal value alike,
+    # and would then answer 2.0 with the entry of the prime Two(2)
+    class Two(int):
+        pass
+
+    is_prime.cache_clear()
+    assert is_prime(Two(2)) and is_prime(2) and not is_prime(1)
+    assert not is_prime(2.0) and not is_prime(True)
+    assert is_prime.cache_info().currsize == 5
 
 
 def test_p_prime_part_examples():

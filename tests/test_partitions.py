@@ -15,9 +15,8 @@ from _oracles import (
 from conftest import partitions_of, partitions_st
 from snchar.partitions import (
     Partition,
-    _beta_mask,
+    _bead_mask,
     _mask_partition,
-    _parts_from_beads,
     enumerate_partitions,
     exponent_form,
     partition_count,
@@ -177,7 +176,7 @@ def _hooks_from_mask(lam):
     # the abacus route: row i's hooks are x - y over the vacant y below its
     # bead x, column 1 first; the core-vanishing check's one-shift probe of
     # the row masks tests exactly this gap rule
-    mask = _beta_mask(tuple(lam))
+    mask = _bead_mask(lam, len(lam))
     beads = [x for x in reversed(range(mask.bit_length())) if mask >> x & 1]
     out = {}
     for i, x in enumerate(beads, start=1):
@@ -200,24 +199,27 @@ def test_hooks_against_naive_oracle(n):
 
 
 def test_beta_set_examples():
-    assert _parts_from_beads((2, 1, 0)) == ()
-    assert _parts_from_beads((5, 1)) == (4, 1)
-    assert _beta_mask((4, 1)) == 0b100010
-    assert _beta_mask(()) == 0
+    assert _mask_partition(0b111) == ()
+    assert _mask_partition(0b100010) == (4, 1)
+    assert _bead_mask((4, 1), 2) == 0b100010
+    assert _bead_mask((4, 1), 4) == 0b10001011
+    assert _bead_mask((), 0) == 0
+    assert _bead_mask((), 3) == 0b111
 
 
 def test_beta_round_trip_exhaustive():
-    # the rim-hook probe decodes beads with _parts_from_beads; compute_column
-    # decodes its bead masks with _mask_partition
+    # every bead mask is built by _bead_mask and read by _mask_partition, at
+    # any number of beads
     for n in range(21):
         for lam in partitions_of(n):
             for size in range(len(lam), len(lam) + 6):
-                beads = _beads(lam, size)
-                assert _parts_from_beads(beads) == lam
-                decoded = _mask_partition(sum(1 << x for x in beads))
+                mask = _bead_mask(lam, size)
+                assert mask == sum(1 << x for x in _beads(lam, size))
+                decoded = _mask_partition(mask)
                 assert type(decoded) is Partition and decoded == lam
 
 
 @given(partitions_st(25), st.integers(0, 7))
 def test_beta_round_trip_random(lam, extra):
-    assert _parts_from_beads(_beads(lam, len(lam) + extra)) == lam
+    assert _mask_partition(sum(1 << x for x in _beads(lam, len(lam) + extra))) == lam
+    assert _mask_partition(_bead_mask(lam, len(lam) + extra)) == lam
