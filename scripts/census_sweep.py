@@ -26,7 +26,11 @@ def parse_args(argv=None) -> argparse.Namespace:
     parser.add_argument("--cache-dir", default=None)
     parser.add_argument("--out", default=None, help="CSV path (default: stdout)")
     args = parser.parse_args(argv)
-    if not is_prime(args.p):
+    try:
+        prime = is_prime(args.p)
+    except ValueError as exc:  # a p too large for primality to be decided
+        parser.error(f"--p: {exc}")
+    if not prime:
         parser.error(f"--p must be prime, got {args.p}")
     if args.jobs < 1:
         parser.error(f"--jobs must be at least 1, got {args.jobs}")

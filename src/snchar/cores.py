@@ -16,14 +16,17 @@ series of prod_j (1 - x^j)^k, which is built once per k by a recurrence over
 the pentagonal numbers and extended in place as n grows.  Multipartition
 counts come from their own recurrence over the divisor sums sigma(j), also
 grown in place per k, so the fiber identity compares three routes that share
-no code: pentagonal p(n), the pentagonal series, and sigma.
+no arithmetic: pentagonal p(n), the pentagonal series, and sigma.  Every
+series here grows through partitions._grow under the package's one lock, so
+counts asked for from several threads agree with a single thread's.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
-from .partitions import partition_count
+from .partitions import _grow, partition_count
 
 
 # k -> [e_k(0), e_k(1), ...], e_k(m) = [x^m] prod_{j>=1} (1 - x^j)^k; each
@@ -36,23 +39,12 @@ def _euler_power(k: int, top: int) -> list[int]:
     # pentagonal numbers i = j(3j -+ 1)/2 and 0 elsewhere.  F = E^k satisfies
     # x F' E = k x E' F, so m f_m = sum_{1 <= i <= m} ((k + 1) i - m) e_i f_{m-i}.
     f = _euler_powers.setdefault(k, [1])
-    if len(f) <= top:
-        pentagonal = []  # (i, e_i), ascending i <= top
-        j = 1
-        while (g := j * (3 * j - 1) // 2) <= top:
-            sign = -1 if j & 1 else 1
-            pentagonal.append((g, sign))
-            if g + j <= top:
-                pentagonal.append((g + j, sign))
-            j += 1
-        for m in range(len(f), top + 1):
-            total = 0
-            for i, e in pentagonal:
-                if i > m:
-                    break
-                total += ((k + 1) * i - m) * e * f[m - i]
-            f.append(total // m)
-    return f
+    if len(f) > top:
+        return f
+    pentagonal = [(i, -1 if j & 1 else 1) for j in range(1, math.isqrt(top) + 2)
+                  for i in (j * (3 * j - 1) // 2, j * (3 * j + 1) // 2) if i <= top]
+    return _grow(f, top, lambda m: sum(
+        ((k + 1) * i - m) * e * f[m - i] for i, e in pentagonal if i <= m) // m)
 
 
 @lru_cache(maxsize=None)
@@ -87,10 +79,17 @@ def count_k_cores(n: int, k: int) -> int:
     return _core_count_row(n)[k]
 
 
-# Divisor sums [0, sigma(1), sigma(2), ...], sieved in place as m grows, and
-# k -> [p_k(0), p_k(1), ...], each series grown in place like _euler_powers.
+# Divisor sums [0, sigma(1), sigma(2), ...], and k -> [p_k(0), p_k(1), ...];
+# both grow in place like _euler_powers.
 _divisor_sums: list[int] = [0]
 _multipartitions: dict[int, list[int]] = {}
+
+
+def _divisor_sum(j: int) -> int:
+    # sigma(j) from the divisor pairs (d, j / d) with d <= sqrt(j)
+    r = math.isqrt(j)
+    total = sum(d + j // d for d in range(1, r + 1) if j % d == 0)
+    return total - r if r * r == j else total
 
 
 def multipartition_count(k: int, m: int) -> int:
@@ -108,13 +107,6 @@ def multipartition_count(k: int, m: int) -> int:
         raise ValueError("m must be non-negative")
     f = _multipartitions.setdefault(k, [1])
     if len(f) <= m:
-        sigma = _divisor_sums
-        start = len(sigma)
-        if start <= m:
-            sigma.extend([0] * (m + 1 - start))
-            for d in range(1, m + 1):
-                for j in range(-(-start // d) * d, m + 1, d):
-                    sigma[j] += d
-        for i in range(len(f), m + 1):
-            f.append(k * sum(sigma[j] * f[i - j] for j in range(1, i + 1)) // i)
+        sigma = _grow(_divisor_sums, m, _divisor_sum)
+        _grow(f, m, lambda i: k * sum(sigma[j] * f[i - j] for j in range(1, i + 1)) // i)
     return f[m]

@@ -21,7 +21,7 @@ from typing import Iterator, NamedTuple, Optional
 
 # enumerate_partitions is bound here only for the benchmark tracer's hook on
 # padic.enumerate_partitions, and goes when the benchmark re-points that hook.
-from .partitions import Partition, _partitions, enumerate_partitions, exponent_form  # noqa: F401
+from .partitions import Partition, _grow, _partitions, enumerate_partitions, exponent_form  # noqa: F401
 
 # Comparisons against the real-valued threshold are biased toward accepting by
 # this relative tolerance, so float noise can never exclude a boundary case.
@@ -36,21 +36,29 @@ C_MIN = math.sqrt(1.5) / math.pi
 DEFAULT_C = 0.4
 
 
+# Miller-Rabin on these bases decides primality exactly below _PRIME_LIMIT
+# (Sorenson and Webster, Math. Comp. 2017).
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_LIMIT = 3317044064679887385961981
+
+
 # Every label of a census asks again about the same p.  Typed, so that a float
 # never shares the entry of an int subclass of equal value.
 @lru_cache(maxsize=None, typed=True)
 def is_prime(m: int) -> bool:
+    """Exact primality of an int below _PRIME_LIMIT; ValueError at or above it."""
     if not isinstance(m, int) or m < 2:
         return False
-    if m < 4:
-        return True
-    if m % 2 == 0:
-        return False
-    f = 3
-    while f * f <= m:
-        if m % f == 0:
+    if m >= _PRIME_LIMIT:
+        raise ValueError(f"cannot decide whether {m} is prime: it is not below {_PRIME_LIMIT}")
+    if m <= _PRIME_BASES[-1] or any(m % a == 0 for a in _PRIME_BASES):
+        return m in _PRIME_BASES
+    s = ((m - 1) & (1 - m)).bit_length() - 1  # m - 1 = d * 2**s, d odd
+    for a in _PRIME_BASES:
+        x = pow(a, (m - 1) >> s, m)  # a**d
+        # m passes base a when a**d is 1 or some a**(d * 2**t), t < s, is -1
+        if x != 1 and m - 1 not in [pow(x, 1 << t, m) for t in range(s)]:
             return False
-        f += 2
     return True
 
 
@@ -116,17 +124,9 @@ def _power_partitions(b: int, p: int) -> tuple[Partition, ...]:
     return tuple(_partitions(b, below))
 
 
-@lru_cache(maxsize=None)
-def _power_partition_count(b: int, p: int) -> int:
-    # Coin-style DP; avoids materializing the (possibly large) enumeration.
-    table = [0] * (b + 1)
-    table[0] = 1
-    q = 1
-    while q <= b:
-        for v in range(q, b + 1):
-            table[v] += table[v - q]
-        q *= p
-    return table[b]
+# p -> [b_p(0), b_p(1), ...], b_p(m) the number of partitions of m into
+# powers of p, grown in place like the series in cores.
+_power_partition_counts: dict[int, list[int]] = {}
 
 
 def fiber_partitions(lam, p: int) -> Iterator[Partition]:
@@ -151,10 +151,11 @@ def fiber_partitions(lam, p: int) -> Iterator[Partition]:
 def fiber_size(lam, p: int) -> int:
     """Cardinality of the fiber over lam, without enumerating it."""
     lam = _regular_label(lam, p)
-    size = 1
-    for _, b in exponent_form(lam):
-        size *= _power_partition_count(b, p)
-    return size
+    counts = _power_partition_counts.setdefault(p, [1])
+    if len(counts) <= len(lam):  # no multiplicity exceeds the number of parts
+        # a partition of m into powers of p has a part 1, or is p times one of m / p
+        _grow(counts, len(lam), lambda m: counts[m - 1] + (0 if m % p else counts[m // p]))
+    return math.prod(counts[b] for _, b in exponent_form(lam))
 
 
 def p_adic_digits(value: int, p: int) -> tuple[int, ...]:

@@ -5,6 +5,8 @@ One stepper, _partitions, yields the partitions of n whose parts lie in an
 allowed set, in reverse-lexicographic order: enumerate_partitions allows every
 part, and padic steps it over the parts prime to p and over the powers of p.
 Everything here is exact integer arithmetic; counting never touches floats.
+Every counting table indexed 0..m, here and in cores and padic, grows by one
+rule, _grow, under one lock, so threads may grow them; other memos are lru_caches.
 A partition with r parts lam_1 >= ... >= lam_r has the beads
 lam_i + r - i on r beads, and on s >= r beads each bead moves up by s - r and
 beads fill 0, ..., s - r - 1.  Every bead mask (bit x set iff x is a bead) is
@@ -60,11 +62,11 @@ class Partition(tuple):
         text = text.strip()
         if text in (EMPTY_TEXT, ""):
             return cls(())
-        try:
-            parts = tuple(int(tok) for tok in text.split(","))
-        except ValueError as exc:
-            raise ValueError(f"cannot parse partition from {text!r}") from exc
-        return cls(parts)
+        tokens = [tok.strip() for tok in text.split(",")]
+        # ASCII digits only: int() would also take "+4", "4_1" and other scripts' digits
+        if not all(tok.isascii() and tok.isdigit() for tok in tokens):
+            raise ValueError(f"cannot parse partition from {text!r}")
+        return cls(int(tok) for tok in tokens)
 
     def to_text(self) -> str:
         return ",".join(str(a) for a in self) if self else EMPTY_TEXT
@@ -112,37 +114,41 @@ def enumerate_partitions(n: int) -> Iterator[Partition]:
     return _partitions(n, list(range(n + 1)))
 
 
-_count_memo = [1]
-_count_lock = threading.Lock()
+_count_lock = threading.Lock()  # the package's one lock; reads take none
+_count_memo = [1]  # p(0), p(1), ...
+
+
+def _grow(series: list, top: int, term) -> list:
+    # Extend series in place through index top, entry m being term(m).  A term
+    # reads only entries already there and grows no table, so the lock cannot
+    # deadlock; callers read an entry that is there without calling this.
+    with _count_lock:
+        for m in range(len(series), top + 1):
+            series.append(term(m))
+    return series
+
+
+def _pentagonal_term(m: int) -> int:
+    # p(m) = sum_{j>=1} (-1)^(j+1) (p(m - j(3j-1)/2) + p(m - j(3j+1)/2)), p < 0 being 0
+    total, j = 0, 1
+    while (g := j * (3 * j - 1) // 2) <= m:
+        term = _count_memo[m - g] + (_count_memo[m - g - j] if g + j <= m else 0)
+        total += term if j & 1 else -term
+        j += 1
+    return total
 
 
 def partition_count(n: int) -> int:
     """Number of partitions of n, via Euler's pentagonal-number recurrence.
 
     Exact arbitrary precision; the memo table is process-global and grows on
-    demand (lock-free reads, serialized extension).
+    demand through _grow.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
     if n < len(_count_memo):
         return _count_memo[n]
-    with _count_lock:
-        while len(_count_memo) <= n:
-            m = len(_count_memo)
-            total = 0
-            j = 1
-            while True:
-                g = j * (3 * j - 1) // 2
-                if g > m:
-                    break
-                term = _count_memo[m - g]
-                g2 = g + j
-                if g2 <= m:
-                    term += _count_memo[m - g2]
-                total += term if j & 1 else -term
-                j += 1
-            _count_memo.append(total)
-    return _count_memo[n]
+    return _grow(_count_memo, n, _pentagonal_term)[n]
 
 
 def exponent_form(lam) -> tuple[tuple[int, int], ...]:

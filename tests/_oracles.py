@@ -15,7 +15,8 @@ multipartition counts; it is itself checked against naive_core_terminals
 order).  rectangular_character gives a column on the class t^m in closed
 form, from the t-quotient that the same abacus reads off, and
 rectangular_zero_count its zero count mod p from the quotient's hook
-lengths.  Nothing here imports snchar, so no fast path can share code with
+lengths.  trial_division_is_prime checks the package's Miller-Rabin test.
+Nothing here imports snchar, so no fast path can share code with
 the oracle it is checked against.
 """
 
@@ -321,6 +322,11 @@ def rectangular_zero_count(t, m, p):
                     grown[size + j, v + w] += count * c
         runners = grown
     return bounded_count(t * m, t * m) - runners[m, _valuation(math.factorial(m), p)]
+
+
+def trial_division_is_prime(m):
+    """Primality by trial division up to the square root."""
+    return m >= 2 and all(m % f for f in range(2, math.isqrt(m) + 1))
 
 
 def brute_multipartitions(k, m):

@@ -145,6 +145,22 @@ def test_fibers_exits_1_on_a_congruence_failure(monkeypatch, capsys, lam):
     assert [line for line in out.splitlines() if line.endswith("false")]
 
 
+def test_column_rejects_a_class_int_would_read(capsys):
+    # int("4_1") is 41, so --mu 4_1 once printed the column of the class (41)
+    code, out, err = run(capsys, "column", "--n", "41", "--p", "2", "--mu", "4_1")
+    assert (code, out) == (2, "")
+    assert err == "invalid input: cannot parse partition from '4_1'\n"
+
+
+def test_census_decides_a_large_prime_and_rejects_a_larger_one(capsys):
+    # 2**61 - 1 took trial division minutes; 2**89 - 1 is past the bound
+    # below which Miller-Rabin on the bases up to 41 is exact
+    assert run(capsys, "census", "--n", "6", "--p", str(2 ** 61 - 1))[0] == 0
+    code, out, err = run(capsys, "census", "--n", "6", "--p", str(2 ** 89 - 1))
+    assert (code, out) == (2, "")
+    assert err.startswith("invalid input: cannot decide whether 618970019642690137449562111 is prime")
+
+
 def test_fibers_rejects_irregular_label(capsys):
     assert run(capsys, "fibers", "--n", "4", "--p", "2", "--lambda", "2,2")[0] == 2
 

@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -14,10 +16,11 @@ from _oracles import (
     node_addition_cover,
 )
 from conftest import partitions_of, partitions_st
-from snchar import cores
+from snchar import cores, padic, partitions
 from snchar.characters import _rim_hook_options
 from snchar.cores import count_k_cores, multipartition_count
-from snchar.partitions import partition_count
+from snchar.padic import fiber_size
+from snchar.partitions import Partition, partition_count
 
 
 def test_remove_rim_hook_examples():
@@ -188,6 +191,49 @@ def test_counts_do_not_depend_on_call_order():
         rng.shuffle(core_keys)
         rng.shuffle(multi_keys)
         assert sweep(core_keys, multi_keys) == ascending
+
+
+def test_grown_tables_safe_under_concurrent_growth():
+    # four threads grow p(n), the k-core, divisor-sum and multipartition
+    # series and the power-partition counts from empty tables; with a short
+    # switch interval they interleave inside each growth, and every entry must
+    # still be the one a single thread writes
+    def clear():
+        del partitions._count_memo[1:]
+        cores._core_count_row.cache_clear()
+        cores._euler_powers.clear()
+        cores._multipartitions.clear()
+        del cores._divisor_sums[1:]
+        padic._power_partition_counts.clear()
+
+    def grow():
+        for k in (2, 3):
+            multipartition_count(k, 300)
+        count_k_cores(300, 2)
+        for p in (2, 3):
+            fiber_size(Partition((1,) * 2000), p)
+
+    def tables():
+        return (list(partitions._count_memo), list(cores._divisor_sums),
+                *({key: list(series) for key, series in table.items()}
+                  for table in (cores._euler_powers, cores._multipartitions,
+                                padic._power_partition_counts)))
+
+    clear()
+    grow()
+    expected = tables()
+    clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=grow) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert tables() == expected
 
 
 def test_node_addition_cover_examples():

@@ -1,10 +1,13 @@
 import math
+import random
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import brute_partitions
+from _oracles import brute_partitions, trial_division_is_prime
+from snchar import padic
 from conftest import partitions_of, partitions_st
 from snchar.census import table_census
 from snchar.padic import (
@@ -33,6 +36,34 @@ def P(*parts):
 def test_is_prime():
     primes = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29}
     assert {m for m in range(31) if is_prime(m)} == primes
+
+
+def test_is_prime_against_trial_division():
+    assert [m for m in range(200_000) if is_prime(m) != trial_division_is_prime(m)] == []
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    # they pass Miller-Rabin on the first 4, 11 and 12 prime bases, so a test
+    # on fewer bases would call each of them prime
+    for m in (3_215_031_751, 3_825_123_056_546_413_051, 318_665_857_834_031_151_167_461):
+        assert not is_prime(m), m
+
+
+def test_is_prime_decides_a_large_prime_at_once():
+    is_prime.cache_clear()
+    start = time.perf_counter()
+    assert is_prime(2 ** 61 - 1) and not is_prime(2 ** 61 + 1)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_is_prime_refuses_what_it_cannot_decide():
+    # the 13 bases decide primality exactly below 3 317 044 064 679 887 385 961 981,
+    # the least composite that passes all of them; ...813 is the last prime below it
+    assert is_prime(3_317_044_064_679_887_385_961_813)
+    assert not is_prime(3_317_044_064_679_887_385_961_979)  # 17 * 1709 * 1366183751 * 83570142193
+    for m in (3_317_044_064_679_887_385_961_981, 2 ** 89 - 1):
+        with pytest.raises(ValueError, match="cannot decide"):
+            is_prime(m)
 
 
 def test_is_prime_trial_division_runs_once_per_p():
@@ -149,6 +180,27 @@ def test_fiber_sizes_sum_up_to_n14():
             assert sum(fiber_size(lam, p) for lam in p_regular_partitions(n, p)) == (
                 partition_count(n)
             )
+
+
+def test_fiber_sizes_do_not_depend_on_call_order():
+    # the power-partition counts behind fiber_size are grown in place per p,
+    # so no order of requests may change a value
+    keys = [(Partition((1,) * b), p) for b in range(41) for p in (2, 3, 5)]
+    keys += [(lam, p) for p in (2, 3) for lam in p_regular_partitions(12, p)]
+
+    def sweep(order):
+        padic._power_partition_counts.clear()
+        return {key: fiber_size(*key) for key in order}
+
+    ascending = sweep(keys)
+    for b in range(41):
+        for p in (2, 3, 5):
+            assert ascending[Partition((1,) * b), p] == len(_power_partitions(b, p))
+    assert sweep(keys[::-1]) == ascending
+    rng = random.Random(29)
+    for _ in range(3):
+        rng.shuffle(keys)
+        assert sweep(keys) == ascending
 
 
 def test_p_adic_digits():

@@ -68,6 +68,13 @@ def test_text_round_trip():
         Partition.from_text("1,4")
 
 
+@pytest.mark.parametrize("text", ["4_1", "+4,1", "\u0664,1"], ids=["underscore", "plus", "arabic-indic"])
+def test_text_takes_only_ascii_digits(text):
+    # int() reads all three, the last with an Arabic-Indic four, as 41 or (4, 1)
+    with pytest.raises(ValueError):
+        Partition.from_text(text)
+
+
 @given(partitions_st(18))
 def test_text_round_trip_random(lam):
     assert Partition.from_text(lam.to_text()) == lam

@@ -41,6 +41,15 @@ def test_census_sweep_rejects_bad_input(argv):
     assert excinfo.value.code == 2
 
 
+def test_census_sweep_rejects_a_prime_too_large_to_decide(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        load_script("census_sweep").main(["--p", str(2 ** 89 - 1), "--max-n", "2"])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "cannot decide whether 618970019642690137449562111 is prime" in err
+    assert "Traceback" not in err
+
+
 def test_census_sweep_rejects_store_it_cannot_use(tmp_path, capsys):
     # a regular file where the store directory should be: exit 2 before the
     # CSV header, as `snchar census` does on the same store
