@@ -53,11 +53,11 @@ def run(args: argparse.Namespace, stream) -> None:
                 record.divisible_count,
                 record.table_size,
                 f"{record.ratio.numerator}/{record.ratio.denominator}",
-                f"{float(record.ratio):.12g}",
+                f"{record.ratio_float:.12g}",
                 f"{elapsed:.3f}",
             ]
         )
-        print(f"n={n}: ratio={float(record.ratio):.6f} ({elapsed:.2f}s)", file=sys.stderr)
+        print(f"n={n}: ratio={record.ratio_float:.6f} ({elapsed:.2f}s)", file=sys.stderr)
 
 
 def main(argv=None) -> int:

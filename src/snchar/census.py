@@ -15,6 +15,9 @@ taking whole groups of representatives that share their largest part;
 results are re-canonicalized after the parallel phase, and all emitted
 records are immutable, so output never depends on job count.
 
+A column or census record is the row the command line prints, field for
+field, floats included.
+
 Nothing here loads a process pool, and the store's checksum (zlib) loads on
 first use, so a census without a store pays for neither at start-up.
 """
@@ -33,7 +36,6 @@ from .characters import _forward_column, compute_column, zero_counts
 from .cores import count_k_cores, multipartition_count
 from .padic import (
     DEFAULT_C,
-    PowerBlockWitness,
     _require_prime,
     _require_scale,
     digit_representative,
@@ -63,14 +65,16 @@ def __getattr__(name: str):
 
 
 class ColumnDivisibilityRecord(NamedTuple):
-    """Divisibility statistics of one character-table column mod p.
+    """Divisibility statistics of one character-table column mod p, in the
+    order the command line prints them.
 
     regular_label is the p-regular partition classifying the column's fiber;
     core_floor counts the k-cores of n for k the largest part of that label's
     digit representative.  Those cores index rows that vanish identically on
     the representative's class, so zero_count >= core_floor always.
-    The threshold fields are None for n < 2, where the predicates are not
-    defined.
+    witness_index and witness_exponent are padic.power_block_witness's
+    (index, exponent), None when it finds none.  The threshold fields are
+    None for n < 2, where the predicates are not defined.
     """
 
     n: int
@@ -80,20 +84,23 @@ class ColumnDivisibilityRecord(NamedTuple):
     zero_count: int
     total: int
     proportion: Fraction
+    proportion_float: float
     qualifies_threshold: bool | None
-    witness: PowerBlockWitness | None
+    witness_index: int | None
+    witness_exponent: int | None
     qualifies_few_parts: bool | None
     core_floor: int
 
 
 class CensusRecord(NamedTuple):
-    """Whole-table divisibility count for one (n, p)."""
+    """Whole-table divisibility count for one (n, p), in printed order."""
 
     n: int
     p: int
     divisible_count: int
     table_size: int
     ratio: Fraction
+    ratio_float: float
 
 
 class FiberColumnSummary(NamedTuple):
@@ -255,7 +262,9 @@ def _column_record(mu: Partition, p: int, zero_count: int, c: float) -> ColumnDi
         qualifies_few_parts = few_distinct_parts(label, p, c)
     else:
         witness, qualifies_threshold, qualifies_few_parts = None, None, None
+    witness_index, witness_exponent = witness or (None, None)
     total = partition_count(n)
+    proportion = Fraction(zero_count, total)
     return ColumnDivisibilityRecord(
         n=n,
         p=p,
@@ -263,9 +272,11 @@ def _column_record(mu: Partition, p: int, zero_count: int, c: float) -> ColumnDi
         regular_label=label,
         zero_count=zero_count,
         total=total,
-        proportion=Fraction(zero_count, total),
+        proportion=proportion,
+        proportion_float=float(proportion),
         qualifies_threshold=qualifies_threshold,
-        witness=witness,
+        witness_index=witness_index,
+        witness_exponent=witness_exponent,
         qualifies_few_parts=qualifies_few_parts,
         core_floor=core_floor,
     )
@@ -459,13 +470,8 @@ def table_census(n: int, p: int, jobs: int = 1, cache_dir=None) -> CensusResult:
         raise RuntimeError(
             f"fiber sizes cover {covered} of {total} classes; this is a bug"
         )
-    record = CensusRecord(
-        n=n,
-        p=p,
-        divisible_count=divisible,
-        table_size=total * total,
-        ratio=Fraction(divisible, total * total),
-    )
+    ratio = Fraction(divisible, total * total)
+    record = CensusRecord(n, p, divisible, total * total, ratio, float(ratio))
     return CensusResult(record, tuple(summaries), hits, len(labels) - hits)
 
 

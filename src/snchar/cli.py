@@ -6,6 +6,12 @@ to stderr.  Exit codes: 0 all checks passed, 1 some verification failed or
 stdout was closed before the output ended (quietly, as under `| head`),
 2 invalid input.
 
+column, theorem-check's survey, the census JSON record and verify-bounds
+print the reports of census and bounds as they are, field for field.  The
+census column rows, fibers rows and verify-core-vanish rows are built here:
+they add per-run context (n, p, total) or condense a report (no mismatch, a
+count of violations), which the reports do not store.
+
 Each command imports the modules it runs when it runs, so a bound sweep never
 loads the census kernel and a census never loads the bound checkers; json
 loads only for --format json.
@@ -18,13 +24,9 @@ import csv
 import os
 import sys
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
 from .padic import DEFAULT_C
 from .partitions import Partition, partition_count
-
-if TYPE_CHECKING:
-    from . import bounds, census
 
 
 def _fraction_text(value: Fraction) -> str:
@@ -76,40 +78,6 @@ def _emit(rows: list[dict], fmt: str, comment: str | None = None,
         writer.writerow([_csv_cell(row[f]) for f in fields])
 
 
-def _column_record_row(rec: census.ColumnDivisibilityRecord) -> dict:
-    return {
-        "n": rec.n,
-        "p": rec.p,
-        "mu": rec.mu,
-        "regular_label": rec.regular_label,
-        "zero_count": rec.zero_count,
-        "total": rec.total,
-        "proportion": rec.proportion,
-        "proportion_float": float(rec.proportion),
-        "qualifies_threshold": rec.qualifies_threshold,
-        "witness_index": rec.witness.index if rec.witness else None,
-        "witness_exponent": rec.witness.exponent if rec.witness else None,
-        "qualifies_few_parts": rec.qualifies_few_parts,
-        "core_floor": rec.core_floor,
-    }
-
-
-def _bound_report_row(report: bounds.BoundReport) -> dict:
-    row: dict = {"check": report.check}
-    row.update(report.params)
-    row.update(
-        {
-            "lhs": report.lhs,
-            "rhs": report.rhs,
-            "relation": report.relation,
-            "holds": report.holds,
-            "slack": report.slack,
-            "slack_float": float(report.slack) if report.slack is not None else None,
-        }
-    )
-    return row
-
-
 def _class_of_size(text: str, n: int) -> Partition:
     # The partition that --mu or --lambda names, which must be one of --n.
     lam = Partition.from_text(text)
@@ -122,7 +90,7 @@ def cmd_column(args) -> int:
     from . import census
 
     rec = census.column_divisibility(_class_of_size(args.mu, args.n), args.p, c=args.c)
-    _emit([_column_record_row(rec)], args.format)
+    _emit([rec._asdict()], args.format)
     return 0
 
 
@@ -146,14 +114,13 @@ def cmd_census(args) -> int:
     summary = (
         f"census n={record.n} p={record.p} divisible={record.divisible_count} "
         f"table_size={record.table_size} ratio={_fraction_text(record.ratio)} "
-        f"ratio_float={float(record.ratio):.12g}"
+        f"ratio_float={record.ratio_float:.12g}"
     )
     print(
         f"cache: hits={result.cache_hits} misses={result.cache_misses}",
         file=sys.stderr,
     )
-    _emit(rows, args.format, comment=summary,
-          record={**record._asdict(), "ratio_float": float(record.ratio)})
+    _emit(rows, args.format, comment=summary, record=record._asdict())
     return 0
 
 
@@ -207,30 +174,27 @@ def cmd_theorem_check(args) -> int:
     from . import census
 
     records = census.threshold_experiment(args.n, args.p, args.c)
-    _emit([_column_record_row(rec) for rec in records], args.format)
+    _emit([rec._asdict() for rec in records], args.format)
     return 0
 
 
 def cmd_verify_bounds(args) -> int:
     from . import bounds
 
-    rows = []
     if args.lemma == "1":
-        for k in range(1, args.max_k + 1):
-            for m in range(1, args.max_m + 1):
-                rows.append(_bound_report_row(bounds.check_multipartition_growth(k, m)))
-    elif args.lemma in ("2", "fiber", "3"):
+        rows = [bounds.check_multipartition_growth(k, m)
+                for k in range(1, args.max_k + 1) for m in range(1, args.max_m + 1)]
+    elif args.lemma == "hr":
+        rows = [bounds.growth_envelope_report(m) for m in range(1, args.max_m + 1)]
+    else:
         # each (n, k) sweep: its first n and its report
         first_n, check = {
             "2": (1, bounds.check_core_deficit),
             "fiber": (1, bounds.check_core_fiber_identity),
             "3": (2, lambda n, k: bounds.core_density_report(n, k, args.c)),
         }[args.lemma]
-        for n in range(first_n, args.max_n + 1):
-            for k in range(1, min(n, args.max_k or n) + 1):
-                rows.append(_bound_report_row(check(n, k)))
-    elif args.lemma == "hr":
-        rows = [bounds.growth_envelope_report(m)._asdict() for m in range(1, args.max_m + 1)]
+        rows = [check(n, k) for n in range(first_n, args.max_n + 1)
+                for k in range(1, min(n, args.max_k or n) + 1)]
     failed = any(row.get("holds") is False for row in rows)
     _emit(rows, args.format)
     return 1 if failed else 0

@@ -36,11 +36,12 @@ def test_column_record_s4_four_cycle():
     assert rec.zero_count == 1
     assert rec.total == 5
     assert rec.proportion == Fraction(1, 5)
+    assert rec.proportion_float == 0.2
     assert rec.regular_label == (1, 1, 1, 1)
     # digit representative of 1^4 at p=2 is (4); c_4(4) counts (2,2) only
     assert rec.core_floor == count_k_cores(4, 4) == 1
     assert rec.qualifies_threshold is True
-    assert rec.witness == (1, 2)
+    assert (rec.witness_index, rec.witness_exponent) == (1, 2)
 
 
 def test_column_record_identity_class():
@@ -68,7 +69,7 @@ def test_column_record_checks_its_core_floor(monkeypatch):
 def test_column_small_n_has_no_threshold_fields():
     rec = column_divisibility(P(1), 2)
     assert rec.qualifies_threshold is None
-    assert rec.witness is None
+    assert rec.witness_index is None and rec.witness_exponent is None
     assert rec.qualifies_few_parts is None
     assert rec.zero_count == 0
 
@@ -200,6 +201,7 @@ def test_census_s4():
     assert result.record.divisible_count == 6
     assert result.record.table_size == 25
     assert result.record.ratio == Fraction(6, 25)
+    assert result.record.ratio_float == 0.24
     assert [col.label for col in result.columns] == list(p_regular_partitions(4, 2))
 
 

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from conftest import inject_column_fault
+from snchar import bounds
 from snchar.cli import main
 from snchar.partitions import Partition
 
@@ -307,6 +308,20 @@ def test_verify_bounds_json(capsys):
     assert all("/" in row["slack"] for row in payload if row["slack"] is not None)
 
 
+def test_verify_bounds_exits_1_when_a_bound_fails(monkeypatch, capsys):
+    # one multipartition too many breaks the fiber identity on every (n, k):
+    # each right side has the term m = n // k, whose core count
+    # c_k(n mod k) = p(n mod k) is at least 1.  The sweep still prints every row.
+    real = bounds.multipartition_count
+    monkeypatch.setattr(bounds, "multipartition_count", lambda k, m: real(k, m) + 1)
+    code, out, _ = run(capsys, "verify-bounds", "--lemma", "fiber", "--max-n", "6")
+    assert code == 1
+    rows = list(csv.DictReader(out.splitlines()))
+    assert [(row["n"], row["k"]) for row in rows] == [
+        (str(n), str(k)) for n in range(1, 7) for k in range(1, n + 1)]
+    assert {row["holds"] for row in rows} == {"false"}
+
+
 def test_corrupt_cache_store_exits_2(tmp_path, capsys):
     assert run(capsys, "census", "--n", "6", "--p", "2",
                "--cache-dir", str(tmp_path))[0] == 0
@@ -415,8 +430,9 @@ def test_commands_load_only_the_modules_they_run():
 # stdout digests taken from the code before the k-core series were kept per
 # k; the sweeps at n = 200 are where those series do most of their work.  The
 # hr digests come from the code before its rows were the reports' own fields,
-# and the lemma 1 digests from the code that powered the partition series by
-# squaring instead of the divisor-sum recurrence.
+# the lemma 1 digests from the code that powered the partition series by
+# squaring instead of the divisor-sum recurrence, and the JSON lemma 2 and 3
+# digests from the code that built each row from a report object.
 @pytest.mark.parametrize(
     "argv, digest",
     [
@@ -436,9 +452,13 @@ def test_commands_load_only_the_modules_they_run():
          "43170401d73b9feb177d72e473ecf6ad3757a04fc76605a909f3e29355a43fb9"),
         (("--lemma", "1", "--max-k", "12", "--max-m", "120", "--format", "json"),
          "15bb006ff3b2b006472caf3a8560036480751b7956c67f6311d2bf00330346ae"),
+        (("--lemma", "2", "--max-n", "60", "--format", "json"),
+         "ba6fe07104b64f23cd0945b14e80ac5de36829e261845dc40a273743233ab767"),
+        (("--lemma", "3", "--max-n", "60", "--c", "0.4", "--format", "json"),
+         "8d4be5f7f5bea72b93ca89d4b222f22600028098f7f81dd645b790fb936912f6"),
     ],
     ids=["lemma2-200", "fiber-200", "lemma3-200", "fiber-60-json", "hr-40", "hr-40-json",
-         "lemma1-40-60", "lemma1-12-120-json"],
+         "lemma1-40-60", "lemma1-12-120-json", "lemma2-60-json", "lemma3-60-json"],
 )
 def test_verify_bounds_sweep_bytes_pinned(capsys, argv, digest):
     code, out, _ = run(capsys, "verify-bounds", *argv)
@@ -476,7 +496,9 @@ def test_check_bytes_pinned(capsys, argv, digest):
 
 # stdout digests taken from the code before the threshold predicates shared
 # one threshold test, and the census JSON one from the code before it went
-# through _emit; a census point gives the same bytes at --jobs 1 and 2
+# through _emit; the JSON column and theorem-check digests from the code that
+# built each row from a record with a nested witness.  A census point gives the
+# same bytes at --jobs 1 and 2
 @pytest.mark.parametrize(
     "argv, digest",
     [
@@ -499,9 +521,15 @@ def test_check_bytes_pinned(capsys, argv, digest):
         (("column", "--n", "9", "--p", "2", "--mu", "3,1,1,1,1,1,1",
           "--c", "0.4551196133134187"),
          "7eed5d08f748fd2f2b93a4a8d6f83f6e6cca2b43c924083a1886c22ca81b3831"),
+        (("theorem-check", "--n", "30", "--p", "2", "--c", "0.4", "--format", "json"),
+         "06436952b60d50f56772a5308b4b558bb99d1aa26fdd30ffe42a667e81039dd9"),
+        (("column", "--n", "9", "--p", "2", "--mu", "3,1,1,1,1,1,1",
+          "--c", "0.4551196133134187", "--format", "json"),
+         "7de11dea2ecac4e6b8937c286b13415ff804ab6cedd5a0ee7d5e9e6834ca53df"),
     ],
     ids=["census-30-2", "census-28-3", "census-24-5", "census-22-7", "census-12-3-json",
-         "theorem-30-2", "theorem-26-3", "theorem-9-2-boundary", "column-9-2-boundary"],
+         "theorem-30-2", "theorem-26-3", "theorem-9-2-boundary", "column-9-2-boundary",
+         "theorem-30-2-json", "column-9-2-boundary-json"],
 )
 def test_census_and_theorem_check_bytes_pinned(capsys, argv, digest):
     for jobs in (("--jobs", "1"), ("--jobs", "2")) if argv[0] == "census" else ((),):

@@ -67,8 +67,8 @@ def test_is_prime_refuses_what_it_cannot_decide():
 
 
 def test_is_prime_trial_division_runs_once_per_p():
-    # every label of a census checks p again; a large p made each check a
-    # long trial division
+    # every label of a census checks p again; a census makes one cached
+    # Miller-Rabin decision per p, however many labels ask
     is_prime.cache_clear()
     table_census(12, 10007)
     assert is_prime.cache_info().misses <= 3
