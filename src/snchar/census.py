@@ -6,10 +6,11 @@ mask, having no bead x with x - k vacant.
 
 The census takes the zero count mod p of one column per p-regular label and
 reuses it across the label's whole fiber; that shortcut is itself verified
-exhaustively at small n by check_fiber_congruence.  The counts come from one
-zero_counts call over the trie of the labels' digit representatives, the
-fiber members with the fewest parts, so no column is kept and nothing
-outlives the call, and the store persists them as one file per (n, p).
+exhaustively at small n by check_fiber_congruence, which returns the first
+mismatch it finds, or None.  The counts come from one zero_counts call over
+the trie of the labels' digit representatives, the fiber members with the
+fewest parts, so no column is kept and nothing outlives the call, and the
+store persists them as one file per (n, p).
 With --jobs, workers are children forked from the census process, each
 taking whole groups of representatives that share their largest part;
 results are re-canonicalized after the parallel phase, and all emitted
@@ -38,8 +39,8 @@ from .padic import (
     DEFAULT_C,
     _require_prime,
     _require_scale,
+    _threshold_cells,
     digit_representative,
-    few_distinct_parts,
     fiber_partitions,
     fiber_size,
     p_adic_digits,
@@ -72,9 +73,9 @@ class ColumnDivisibilityRecord(NamedTuple):
     core_floor counts the k-cores of n for k the largest part of that label's
     digit representative.  Those cores index rows that vanish identically on
     the representative's class, so zero_count >= core_floor always.
-    witness_index and witness_exponent are padic.power_block_witness's
-    (index, exponent), None when it finds none.  The threshold fields are
-    None for n < 2, where the predicates are not defined.
+    The four threshold fields, qualifies_threshold through
+    qualifies_few_parts, are padic._threshold_cells of the label, and None
+    for n < 2, where the predicates are not defined.
     """
 
     n: int
@@ -116,21 +117,6 @@ class CensusResult(NamedTuple):
     columns: tuple[FiberColumnSummary, ...]
     cache_hits: int
     cache_misses: int
-
-
-class FiberCongruenceReport(NamedTuple):
-    """Outcome of comparing all mod-p columns across one fiber.
-
-    Columns in one fiber are always congruent, so a mismatch (the first
-    differing (mu, nu, alpha) triple) would signal an implementation bug.
-    """
-
-    n: int
-    p: int
-    label: Partition
-    fiber_size: int
-    congruent: bool
-    mismatch: tuple[Partition, Partition, Partition] | None
 
 
 class CoreVanishReport(NamedTuple):
@@ -257,12 +243,10 @@ def _column_record(mu: Partition, p: int, zero_count: int, c: float) -> ColumnDi
         raise RuntimeError(f"zero count {zero_count} fell below core floor {core_floor} "
                            f"on label {label}; this is a bug")
     if n >= 2:
-        witness = power_block_witness(label, p, c)
-        qualifies_threshold = witness is not None
-        qualifies_few_parts = few_distinct_parts(label, p, c)
+        cells = _threshold_cells(label, p, c)
     else:
-        witness, qualifies_threshold, qualifies_few_parts = None, None, None
-    witness_index, witness_exponent = witness or (None, None)
+        cells = dict.fromkeys(("qualifies_threshold", "witness_index", "witness_exponent",
+                               "qualifies_few_parts"))
     total = partition_count(n)
     proportion = Fraction(zero_count, total)
     return ColumnDivisibilityRecord(
@@ -274,10 +258,7 @@ def _column_record(mu: Partition, p: int, zero_count: int, c: float) -> ColumnDi
         total=total,
         proportion=proportion,
         proportion_float=float(proportion),
-        qualifies_threshold=qualifies_threshold,
-        witness_index=witness_index,
-        witness_exponent=witness_exponent,
-        qualifies_few_parts=qualifies_few_parts,
+        **cells,
         core_floor=core_floor,
     )
 
@@ -292,29 +273,24 @@ def column_divisibility(mu, p: int, c: float = DEFAULT_C) -> ColumnDivisibilityR
     return _column_record(mu, p, zero_count, c)
 
 
-def check_fiber_congruence(lam, p: int) -> FiberCongruenceReport:
-    """Verify that all mod-p columns across the fiber of lam, classes of |lam|, agree."""
-    lam = Partition(lam)
-    members = list(fiber_partitions(lam, p))
-    reference_mu = members[0]
+def check_fiber_congruence(lam, p: int) -> tuple[Partition, Partition, Partition] | None:
+    """Compare the mod-p columns across the fiber of lam, classes of |lam|.
+
+    Returns None when they all agree, as they always should, or else the
+    first mismatch (mu, nu, alpha): mu the fiber's first member, nu the first
+    whose column differs from mu's, and alpha the first row where it does.
+    """
+    members = fiber_partitions(lam, p)
+    reference_mu = next(members)
     reference = _forward_column(reference_mu[::-1], p)
-    mismatch = None
-    for mu in members[1:]:
+    for mu in members:
         column = _forward_column(mu[::-1], p)
         if column != reference:
             # canonical order is descending, so the first differing row in
             # enumeration order is the largest
             alpha = max(_mask_partition(mask) for mask, _ in reference.items() ^ column.items())
-            mismatch = (reference_mu, mu, alpha)
-            break
-    return FiberCongruenceReport(
-        n=lam.n,
-        p=p,
-        label=lam,
-        fiber_size=len(members),
-        congruent=mismatch is None,
-        mismatch=mismatch,
-    )
+            return reference_mu, mu, alpha
+    return None
 
 
 def check_core_vanishing(n: int, k: int) -> CoreVanishReport:

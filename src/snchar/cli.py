@@ -8,9 +8,10 @@ stdout was closed before the output ended (quietly, as under `| head`),
 
 column, theorem-check's survey, the census JSON record and verify-bounds
 print the reports of census and bounds as they are, field for field.  The
-census column rows, fibers rows and verify-core-vanish rows are built here:
-they add per-run context (n, p, total) or condense a report (no mismatch, a
-count of violations), which the reports do not store.
+census column rows, fibers rows, the theorem-check --lambda row and
+verify-core-vanish rows are built here: they add per-run context (n, p,
+total, a label's fiber size) to what the census and padic functions return,
+or condense a report (a count of violations).
 
 Each command imports the modules it runs when it runs, so a bound sweep never
 loads the census kernel and a census never loads the bound checkers; json
@@ -136,17 +137,18 @@ def cmd_fibers(args) -> int:
     rows = []
     failed = False
     for lam in labels:
-        report = census.check_fiber_congruence(lam, args.p)
+        size = padic.fiber_size(lam, args.p)
+        congruent = census.check_fiber_congruence(lam, args.p) is None
         for mu in padic.fiber_partitions(lam, args.p) if one_label else [None]:
             rows.append({
                 "n": args.n,
                 "p": args.p,
                 "label": lam,
                 **({"mu": mu} if one_label else {}),
-                "fiber_size": report.fiber_size,
-                "congruent": report.congruent,
+                "fiber_size": size,
+                "congruent": congruent,
             })
-        failed = failed or not report.congruent
+        failed = failed or not congruent
     _emit(rows, args.format)
     return 1 if failed else 0
 
@@ -156,16 +158,12 @@ def cmd_theorem_check(args) -> int:
 
     if args.lam is not None:
         lam = _class_of_size(args.lam, args.n)
-        witness = padic.power_block_witness(lam, args.p, args.c)
         row = {
             "n": args.n,
             "p": args.p,
             "c": args.c,
             "label": lam,
-            "qualifies_threshold": witness is not None,
-            "witness_index": witness.index if witness else None,
-            "witness_exponent": witness.exponent if witness else None,
-            "qualifies_few_parts": padic.few_distinct_parts(lam, args.p, args.c),
+            **padic._threshold_cells(lam, args.p, args.c),  # ValueError below n = 2
             "representative": padic.digit_representative(lam, args.p),
             "threshold_float": padic.threshold(args.n, args.c),
         }

@@ -9,7 +9,9 @@ the natural unit for divisibility bookkeeping.
 The threshold predicates power_block_witness(lam, p, c) and
 few_distinct_parts(lam, p, c) take n = |lam| and the scale threshold(n, c).
 They and bounds.core_density_report compare with it only by one test,
-_meets_threshold, biased toward accepting by REL_TOL.
+_meets_threshold, biased toward accepting by REL_TOL.  The witness is a plain
+(index, exponent) pair or None, and _threshold_cells turns the two predicates
+into the four cells every printed row on a label carries.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterator
 
 # enumerate_partitions is bound here only for the benchmark tracer's hook on
 # padic.enumerate_partitions, and goes when the benchmark re-points that hook.
@@ -198,11 +200,6 @@ def _meets_threshold(x: float, n: int, c: float) -> bool:
     return x >= bound - REL_TOL * abs(bound)
 
 
-class PowerBlockWitness(NamedTuple):
-    index: int  # 1-based position among distinct parts, largest part first
-    exponent: int  # top digit position s of the multiplicity in base p
-
-
 def _check_predicate_input(lam, p: int, c: float) -> Partition:
     lam = Partition(lam)
     _require_prime(p)
@@ -212,12 +209,13 @@ def _check_predicate_input(lam, p: int, c: float) -> Partition:
     return _regular_label(lam, p)
 
 
-def power_block_witness(lam, p: int, c: float) -> Optional[PowerBlockWitness]:
+def power_block_witness(lam, p: int, c: float) -> tuple[int, int] | None:
     """Witness that some distinct part of lam, n = |lam|, reaches the threshold.
 
     Looks for a distinct part a_i (multiplicity b_i) with a_i * p**s at or
     above threshold(n, c), s the top digit position of b_i in base p (the
-    largest s with p**s <= b_i); returns the first such i with its s, or None.
+    largest s with p**s <= b_i); returns the first such (i, s), i counting
+    distinct parts from 1 largest first, or None.
     s is the rule digit_representative uses, so a witness exists exactly when
     that representative's largest part reaches the threshold.
     """
@@ -225,7 +223,7 @@ def power_block_witness(lam, p: int, c: float) -> Optional[PowerBlockWitness]:
     for index, (a, b) in enumerate(exponent_form(lam), start=1):
         s = len(p_adic_digits(b, p)) - 1
         if _meets_threshold(a * p ** s, lam.n, c):
-            return PowerBlockWitness(index, s)
+            return index, s
     return None
 
 
@@ -238,3 +236,17 @@ def few_distinct_parts(lam, p: int, c: float) -> bool:
     """
     lam = _check_predicate_input(lam, p, c)
     return _meets_threshold(lam.n / (p * len(exponent_form(lam))), lam.n, c)
+
+
+def _threshold_cells(lam, p: int, c: float) -> dict:
+    """The threshold cells of a row on the label lam, in printed order:
+    qualifies_threshold, the witness's index and exponent (None without one)
+    and qualifies_few_parts."""
+    witness = power_block_witness(lam, p, c)
+    index, exponent = witness or (None, None)
+    return {
+        "qualifies_threshold": witness is not None,
+        "witness_index": index,
+        "witness_exponent": exponent,
+        "qualifies_few_parts": few_distinct_parts(lam, p, c),
+    }

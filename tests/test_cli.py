@@ -497,8 +497,9 @@ def test_check_bytes_pinned(capsys, argv, digest):
 # stdout digests taken from the code before the threshold predicates shared
 # one threshold test, and the census JSON one from the code before it went
 # through _emit; the JSON column and theorem-check digests from the code that
-# built each row from a record with a nested witness.  A census point gives the
-# same bytes at --jobs 1 and 2
+# built each row from a record with a nested witness; the theorem-check
+# --lambda and column --n 1 digests from the code that flattened the witness in
+# each of them apart.  A census point gives the same bytes at --jobs 1 and 2
 @pytest.mark.parametrize(
     "argv, digest",
     [
@@ -526,10 +527,23 @@ def test_check_bytes_pinned(capsys, argv, digest):
         (("column", "--n", "9", "--p", "2", "--mu", "3,1,1,1,1,1,1",
           "--c", "0.4551196133134187", "--format", "json"),
          "7de11dea2ecac4e6b8937c286b13415ff804ab6cedd5a0ee7d5e9e6834ca53df"),
+        # witness (1, 1)
+        (("theorem-check", "--n", "12", "--p", "2", "--c", "0.4", "--lambda", "3,3,1,1,1,1,1,1"),
+         "91146243a7464281b97b0bcc039fc8c666b26eedc000462f11cd3cf7e957e664"),
+        (("theorem-check", "--n", "12", "--p", "2", "--c", "0.4", "--lambda", "3,3,1,1,1,1,1,1",
+          "--format", "json"),
+         "35b8d2e03c64a8ee57ff61484bac73f4b14b75740e105546954b7661b66e1345"),
+        # no witness: its two cells are empty
+        (("theorem-check", "--n", "30", "--p", "3", "--c", "1.0", "--lambda", "5,5,5,5,5,5"),
+         "c5e3e91b9699b8723314baf9be2b30e07d7106a421d5e754a3fa260c730a02a4"),
+        # n < 2: the four threshold cells are null
+        (("column", "--n", "1", "--p", "2", "--mu", "1", "--format", "json"),
+         "6da9f4c264f14dac29f8d27814fc9312569bd5b7a242d18440e48153f6ef21f2"),
     ],
     ids=["census-30-2", "census-28-3", "census-24-5", "census-22-7", "census-12-3-json",
          "theorem-30-2", "theorem-26-3", "theorem-9-2-boundary", "column-9-2-boundary",
-         "theorem-30-2-json", "column-9-2-boundary-json"],
+         "theorem-30-2-json", "column-9-2-boundary-json", "theorem-12-2-label",
+         "theorem-12-2-label-json", "theorem-30-3-label-no-witness", "column-1-2-json"],
 )
 def test_census_and_theorem_check_bytes_pinned(capsys, argv, digest):
     for jobs in (("--jobs", "1"), ("--jobs", "2")) if argv[0] == "census" else ((),):
