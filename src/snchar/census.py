@@ -10,7 +10,10 @@ exhaustively at small n by check_fiber_congruence, which returns the first
 mismatch it finds, or None.  The counts come from one zero_counts call over
 the trie of the labels' digit representatives, the fiber members with the
 fewest parts, so no column is kept and nothing outlives the call, and the
-store persists them as one file per (n, p).
+store persists them as one file per (n, p).  Two closed forms check every
+census, loaded or computed, without the kernel: Macdonald's count of the
+degrees prime to p on the label 1^n and, for p = 2, the Frobenius-Schur
+parity of each column's odd entries.
 With --jobs, workers are children forked from the census process, each
 taking whole groups of representatives that share their largest part;
 results are re-canonicalized after the parallel phase, and all emitted
@@ -233,11 +236,10 @@ class ColumnStore:
         return counts
 
 
-def _column_record(mu: Partition, p: int, zero_count: int, c: float) -> ColumnDivisibilityRecord:
-    # The record of mu's column mod p, given its zero count, checked against its core floor.
+def _column_record(mu: Partition, label: Partition, representative: Partition, p: int,
+                   zero_count: int, c: float) -> ColumnDivisibilityRecord:
+    # mu's column record mod p, given its label, the label's digit representative and zero count.
     n = mu.n
-    label = p_prime_part(mu, p)
-    representative = digit_representative(label, p)
     core_floor = count_k_cores(n, representative[0]) if representative else 0
     if zero_count < core_floor:
         raise RuntimeError(f"zero count {zero_count} fell below core floor {core_floor} "
@@ -270,7 +272,8 @@ def column_divisibility(mu, p: int, c: float = DEFAULT_C) -> ColumnDivisibilityR
     _require_scale(c)
     mu = Partition(mu)
     zero_count = partition_count(mu.n) - len(compute_column(mu, p))
-    return _column_record(mu, p, zero_count, c)
+    label = p_prime_part(mu, p)
+    return _column_record(mu, label, digit_representative(label, p), p, zero_count, c)
 
 
 def check_fiber_congruence(lam, p: int) -> tuple[Partition, Partition, Partition] | None:
@@ -405,8 +408,9 @@ def table_census(n: int, p: int, jobs: int = 1, cache_dir=None) -> CensusResult:
     parallel phase, so repeated runs and different job counts give identical
     results.  The census runs in at most one process per CPU and per group
     of representatives that share their largest part.  Stored and computed
-    counts alike must give Macdonald's count of the degrees prime to p, and
-    only counts that do are stored.
+    counts alike must give Macdonald's count of the degrees prime to p and,
+    for p = 2, every column's Frobenius-Schur parity; only counts that do
+    are stored.
     """
     _require_prime(p)
     if n < 0:
@@ -432,6 +436,18 @@ def table_census(n: int, p: int, jobs: int = 1, cache_dir=None) -> CensusResult:
             f"{total - zeros[-1]} degrees of S_{n} are prime to {p}, not Macdonald's "
             f"{prime_to_p}; this is a bug"
         )
+    if p == 2:
+        # Frobenius-Schur: a column sums to r(rho), the number of square roots
+        # of an element of type rho, and mod 2 that sum counts its odd
+        # entries.  r(rho) is odd exactly when rho's parts are odd and
+        # distinct, as the digit representative's are when its label's are.
+        for lam, zero_count in zip(labels, zeros):
+            distinct = len(set(lam)) == len(lam)
+            if (total - zero_count) % 2 != distinct:
+                raise RuntimeError(
+                    f"the column of {lam} in S_{n} has {total - zero_count} odd entries, but "
+                    f"Frobenius-Schur asks for an {'odd' if distinct else 'even'} number; this is a bug"
+                )
     if store is not None and not hits:
         store.save(n, p, zeros)
     summaries = []
@@ -463,10 +479,8 @@ def threshold_experiment(n: int, p: int, c: float) -> list[ColumnDivisibilityRec
         raise ValueError("n must be at least 2")
     _require_prime(p)
     _require_scale(c)
-    representatives = [
-        digit_representative(lam, p)
-        for lam in p_regular_partitions(n, p)
-        if power_block_witness(lam, p, c) is not None
-    ]
+    labels = [lam for lam in p_regular_partitions(n, p) if power_block_witness(lam, p, c) is not None]
+    representatives = [digit_representative(lam, p) for lam in labels]
     counts = zero_counts(representatives, p)
-    return [_column_record(rep, p, zero, c) for rep, zero in zip(representatives, counts)]
+    return [_column_record(rep, lam, rep, p, zero, c)
+            for lam, rep, zero in zip(labels, representatives, counts)]

@@ -4,7 +4,8 @@ A permutation factors into commuting p-part and p'-part; on cycle types this
 sends mu to the p-regular partition obtained by replacing each part a * p**k
 (p not dividing a) with p**k parts a.  Columns of the character table indexed
 by the same fiber of that map are congruent mod p, so the p-regular label is
-the natural unit for divisibility bookkeeping.
+the natural unit for divisibility bookkeeping.  One gate, _regular_label,
+checks p and the parts of every label the functions below take.
 
 The threshold predicates power_block_witness(lam, p, c) and
 few_distinct_parts(lam, p, c) take n = |lam| and the scale threshold(n, c).
@@ -91,15 +92,10 @@ def p_prime_part(mu, p: int) -> Partition:
     return Partition._unchecked(tuple(out))
 
 
-def is_p_regular(lam, p: int) -> bool:
-    """True when no part is divisible by p."""
-    _require_prime(p)
-    return all(a % p for a in lam)
-
-
 def _regular_label(lam, p: int) -> Partition:
     lam = Partition(lam)
-    if not is_p_regular(lam, p):
+    _require_prime(p)
+    if not all(a % p for a in lam):
         raise ValueError(f"{lam} has a part divisible by {p}")
     return lam
 

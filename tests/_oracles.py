@@ -8,7 +8,8 @@ recursion (mn_character), which strips border strips one entry at a time,
 instead of the package's forward rim-hook addition over whole columns.
 dimension (the hook-length formula on direct arm/leg counts) and
 centralizer_order (the product formula, itself checked against permutation
-counting) give the values the columns must reproduce.  k_core, the abacus
+counting) give the values the columns must reproduce, and
+square_root_count (squaring every permutation) the column sums.  k_core, the abacus
 push-down, groups partitions by core and weight for the package's
 multipartition counts; it is itself checked against naive_core_terminals
 (exhaustive border-strip stripping) and greedy_core (stripping in a random
@@ -162,6 +163,17 @@ def brute_centralizer_order(mu):
         1
         for sigma in itertools.permutations(range(n))
         if all(sigma[rep[i]] == rep[sigma[i]] for i in range(n))
+    )
+
+
+def square_root_count(mu):
+    """How many permutations square to a representative of cycle type mu,
+    found by squaring all n! of them; meant for n <= 7."""
+    rep = representative_of_type(mu)
+    return sum(
+        1
+        for sigma in itertools.permutations(range(len(rep)))
+        if all(sigma[sigma[i]] == rep[i] for i in range(len(rep)))
     )
 
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from _oracles import dimension, mn_character, naive_is_core
+from _oracles import dimension, mn_character, naive_is_core, square_root_count
 from conftest import dense, inject_column_fault, partitions_of
 from snchar import census, characters
 from snchar.census import (
@@ -439,6 +439,53 @@ def test_census_checks_macdonalds_count(monkeypatch, capsys, jobs):
     assert code == 1
     assert captured.out == ""
     assert captured.err.startswith("check failed: ") and "Macdonald" in captured.err
+
+
+def test_column_sums_count_square_roots():
+    # the census's p = 2 certificate: every character of S_n is real with
+    # Frobenius-Schur indicator 1, so a column sums to r(mu), the number of
+    # square roots of a permutation of type mu, which is odd exactly when
+    # mu's parts are odd and distinct
+    for n in range(8):
+        for mu in partitions_of(n):
+            roots = square_root_count(mu)
+            assert roots == sum(mn_character(alpha, mu) for alpha in partitions_of(n)), mu
+            assert roots % 2 == (all(a % 2 for a in mu) and len(set(mu)) == len(mu)), mu
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_census_checks_frobenius_schur_parity(monkeypatch, capsys, jobs):
+    # the label (11, 1) of n = 12 is its own digit representative; a zero
+    # more there flips the parity of its odd entries but leaves Macdonald's
+    # count, which reads the label 1^12, as it is
+    real = census.zero_counts
+
+    def off_by_one(labels, p):
+        return tuple(z + (rep == (11, 1)) for rep, z in zip(labels, real(labels, p)))
+
+    monkeypatch.setattr(census, "zero_counts", off_by_one)
+    monkeypatch.setattr(census.os, "cpu_count", lambda: 2)
+    code = main(["census", "--n", "12", "--p", "2", "--jobs", jobs])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("check failed: ") and "Frobenius" in captured.err
+    assert "column of 11,1 in S_12 has 10 odd entries" in captured.err
+
+
+def test_census_checks_frobenius_schur_parity_of_a_stored_file(tmp_path):
+    # a stored count one too high on (11, 1), under a checksum that fits
+    table_census(12, 2, cache_dir=tmp_path)
+    path = ColumnStore(tmp_path).path_for(12, 2)
+    body = path.read_text().rpartition("\nchecksum=")[0]
+    head, _, values = body.rpartition("values=")
+    labels = re.search(r"^labels=(.*)$", head, re.M).group(1).split(";")
+    counts = values.split(",")
+    at = labels.index("11,1")
+    counts[at] = str(int(counts[at]) + 1)
+    _rechecksum(path, head + "values=" + ",".join(counts))
+    with pytest.raises(RuntimeError, match="column of 11,1 in S_12 has 10 odd entries, but Frobenius-Schur asks for an odd"):
+        table_census(12, 2, cache_dir=tmp_path)
 
 
 def test_census_store_that_cannot_be_written_exits_2(monkeypatch, tmp_path, capsys):

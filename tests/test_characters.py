@@ -240,6 +240,28 @@ def test_hooks_added_and_removed_agree(n):
             assert {(child, leg & 1) for child, leg in options} == sources.get(target, set())
 
 
+def test_core_sources_reach_their_own_targets():
+    # the lemma a step (m, t) into n can rest on: on the m + t beads that
+    # _lane_step uses, a t-core of m has exactly t rim hooks of length t to
+    # add, one per runner, at distinct targets; each target has one removable
+    # t-rim hook, which gives the core back, and no other source reaches it
+    for m in range(13):
+        masks = {alpha: _bead_mask(alpha, m) for alpha in partitions_of(m)}
+        for t in range(1, 15):
+            fill = (1 << t) - 1
+            targets = {alpha: [key for keys in characters._hooks((mask << t) | fill, t) for key in keys]
+                       for alpha, mask in masks.items()}
+            cores = {alpha for alpha in masks if naive_is_core(alpha, t)}
+            for alpha in cores:
+                assert len(targets[alpha]) == len(set(targets[alpha])) == t, (m, t, alpha)
+                for key in targets[alpha]:
+                    (child, _), = characters._rim_hook_options(_mask_partition(key), t)
+                    assert child == alpha, (m, t, alpha)
+            from_cores = {key for alpha in cores for key in targets[alpha]}
+            for alpha in masks.keys() - cores:
+                assert from_cores.isdisjoint(targets[alpha]), (m, t, alpha)
+
+
 def test_memo_cache_statistics(monkeypatch):
     # the forward counters the benchmark tracer reads as characters.states,
     # recorded through a subclass as the tracer does

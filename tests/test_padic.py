@@ -14,11 +14,11 @@ from snchar.padic import (
     C_MIN,
     _meets_threshold,
     _power_partitions,
+    _regular_label,
     digit_representative,
     few_distinct_parts,
     fiber_partitions,
     fiber_size,
-    is_p_regular,
     is_prime,
     p_adic_digits,
     p_prime_part,
@@ -104,14 +104,15 @@ def test_p_prime_part_idempotent_and_regular():
             for mu in partitions_of(n):
                 image = p_prime_part(mu, p)
                 assert image.n == mu.n
-                assert is_p_regular(image, p)
+                assert _regular_label(image, p) == image
                 assert p_prime_part(image, p) == image
 
 
-def test_is_p_regular_examples():
-    assert is_p_regular(P(1, 1, 1), 2)
-    assert not is_p_regular(P(4, 3), 2)
-    assert not is_p_regular(P(6, 2), 3)
+def test_regular_label_examples():
+    assert _regular_label((1, 1, 1), 2) == P(1, 1, 1)
+    for lam, p in ((P(4, 3), 2), (P(6, 2), 3)):
+        with pytest.raises(ValueError, match=f"{lam} has a part divisible by {p}"):
+            _regular_label(lam, p)
 
 
 def test_p_regular_partitions_match_filtered_enumeration():
@@ -134,8 +135,8 @@ def test_p_regular_partitions_match_filtered_enumeration():
 def test_requires_prime():
     with pytest.raises(ValueError):
         p_prime_part(P(2, 1), 6)
-    with pytest.raises(ValueError):
-        is_p_regular(P(2, 1), 1)
+    with pytest.raises(ValueError, match="p must be prime, got 1"):
+        _regular_label(P(2, 1), 1)
 
 
 def test_fiber_singleton():
@@ -314,5 +315,5 @@ def test_few_distinct_parts_examples():
 def test_p_prime_part_properties_random(mu, p):
     image = p_prime_part(mu, p)
     assert image.n == mu.n
-    assert is_p_regular(image, p)
+    assert _regular_label(image, p) == image
     assert p_prime_part(image, p) == image
