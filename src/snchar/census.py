@@ -9,11 +9,13 @@ reuses it across the label's whole fiber; that shortcut is itself verified
 exhaustively at small n by check_fiber_congruence, which returns the first
 mismatch it finds, or None.  The counts come from one zero_counts call over
 the trie of the labels' digit representatives, the fiber members with the
-fewest parts, so no column is kept and nothing outlives the call, and the
-store persists them as one file per (n, p).  Two closed forms check every
-census, loaded or computed, without the kernel: Macdonald's count of the
-degrees prime to p on the label 1^n and, for p = 2, the Frobenius-Schur
-parity of each column's odd entries.
+fewest parts, so no column is kept and nothing outlives the call.  Two
+closed forms check every census, loaded or computed, without the kernel:
+Macdonald's count of the degrees prime to p on the label 1^n and, for
+p = 2, the Frobenius-Schur parity of each column's odd entries.  The store
+persists the counts as one file per (n, p), written only after those checks
+and the fiber sizes' cover of the p(n) classes pass, so a census that fails
+any check leaves no file.
 With --jobs, workers are children forked from the census process, each
 taking whole groups of representatives that share their largest part;
 results are re-canonicalized after the parallel phase, and all emitted
@@ -320,33 +322,28 @@ def check_core_vanishing(n: int, k: int) -> CoreVanishReport:
     )
 
 
-def _trie_census(labels: list[Partition], p: int, jobs: int) -> tuple[int, ...]:
-    # Zero counts in label order, from the trie of the labels' digit
-    # representatives: a representative's column is congruent to its
-    # label's, and it has the fewest parts in the fiber.  A unit of work is
-    # the group of representatives that share their largest part t, and
-    # costs about p(n - t) per representative; the shares are balanced by
-    # that cost.
-    representatives = [digit_representative(lam, p) for lam in labels]
+def _trie_census(representatives: list[Partition], p: int, jobs: int) -> tuple[int, ...]:
+    # Zero counts of the labels' digit representatives, in order.  In one
+    # process that is one zero_counts call over their trie.  Forked, a unit
+    # of work is the group of representatives that share their largest part
+    # t, and costs about p(n - t) per representative; the shares are
+    # balanced by that cost.
+    workers = min(jobs, os.cpu_count() or 1) if hasattr(os, "fork") else 1
+    if workers == 1:
+        return zero_counts(representatives, p)
     groups: dict[int, list[Partition]] = {}
     for rep in representatives:
         groups.setdefault(rep[0] if rep else 0, []).append(rep)
-    workers = min(jobs, len(groups), os.cpu_count() or 1) if hasattr(os, "fork") else 1
-    if workers > 1:
-        n = labels[0].n
-        cost = {t: len(group) * partition_count(n - t) for t, group in groups.items()}
-        shares: list[list[Partition]] = [[] for _ in range(workers)]
-        loads = [0] * workers
-        for t in sorted(cost, key=cost.get, reverse=True):
-            lightest = loads.index(min(loads))
-            shares[lightest] += groups[t]
-            loads[lightest] += cost[t]
-        computed = _in_forks(lambda share: zero_counts(share, p), shares)
-    else:
-        shares = [representatives]
-        computed = [zero_counts(representatives, p)]
+    n = representatives[0].n
+    cost = {t: len(group) * partition_count(n - t) for t, group in groups.items()}
+    shares: list[list[Partition]] = [[] for _ in range(min(workers, len(groups)))]
+    loads = [0] * len(shares)
+    for t in sorted(cost, key=cost.get, reverse=True):
+        lightest = loads.index(min(loads))
+        shares[lightest] += groups[t]
+        loads[lightest] += cost[t]
     by_representative = {}
-    for share, counts in zip(shares, computed):
+    for share, counts in zip(shares, _in_forks(lambda share: zero_counts(share, p), shares)):
         by_representative.update(zip(share, counts))
     return tuple(by_representative[rep] for rep in representatives)
 
@@ -409,8 +406,10 @@ def table_census(n: int, p: int, jobs: int = 1, cache_dir=None) -> CensusResult:
     results.  The census runs in at most one process per CPU and per group
     of representatives that share their largest part.  Stored and computed
     counts alike must give Macdonald's count of the degrees prime to p and,
-    for p = 2, every column's Frobenius-Schur parity; only counts that do
-    are stored.
+    for p = 2, every column's Frobenius-Schur parity, checked with the fiber
+    weights in one pass over the labels, and the fiber sizes must cover the
+    p(n) classes.  Computed counts are stored only after all of that holds,
+    so a census that fails a check raises RuntimeError and stores nothing.
     """
     _require_prime(p)
     if n < 0:
@@ -425,7 +424,7 @@ def table_census(n: int, p: int, jobs: int = 1, cache_dir=None) -> CensusResult:
             zeros = store.load(n, p)
     hits = 0 if zeros is None else len(labels)
     if zeros is None:
-        zeros = _trie_census(labels, p, jobs)
+        zeros = _trie_census([digit_representative(lam, p) for lam in labels], p, jobs)
     total = partition_count(n)
     # Macdonald (1971): the degrees prime to p number the product, over the
     # base-p digits a_t of n, of the (p**t)-multipartition counts of a_t.
@@ -436,24 +435,19 @@ def table_census(n: int, p: int, jobs: int = 1, cache_dir=None) -> CensusResult:
             f"{total - zeros[-1]} degrees of S_{n} are prime to {p}, not Macdonald's "
             f"{prime_to_p}; this is a bug"
         )
-    if p == 2:
+    summaries = []
+    divisible = covered = 0
+    for lam, zero_count in zip(labels, zeros):
         # Frobenius-Schur: a column sums to r(rho), the number of square roots
         # of an element of type rho, and mod 2 that sum counts its odd
         # entries.  r(rho) is odd exactly when rho's parts are odd and
         # distinct, as the digit representative's are when its label's are.
-        for lam, zero_count in zip(labels, zeros):
-            distinct = len(set(lam)) == len(lam)
-            if (total - zero_count) % 2 != distinct:
-                raise RuntimeError(
-                    f"the column of {lam} in S_{n} has {total - zero_count} odd entries, but "
-                    f"Frobenius-Schur asks for an {'odd' if distinct else 'even'} number; this is a bug"
-                )
-    if store is not None and not hits:
-        store.save(n, p, zeros)
-    summaries = []
-    divisible = 0
-    covered = 0
-    for lam, zero_count in zip(labels, zeros):
+        odd = total - zero_count
+        if p == 2 and odd % 2 != (len(set(lam)) == len(lam)):
+            raise RuntimeError(
+                f"the column of {lam} in S_{n} has {odd} odd entries, but "
+                f"Frobenius-Schur asks for an {'even' if odd % 2 else 'odd'} number; this is a bug"
+            )
         size = fiber_size(lam, p)
         covered += size
         divisible += size * zero_count
@@ -462,6 +456,8 @@ def table_census(n: int, p: int, jobs: int = 1, cache_dir=None) -> CensusResult:
         raise RuntimeError(
             f"fiber sizes cover {covered} of {total} classes; this is a bug"
         )
+    if store is not None and not hits:
+        store.save(n, p, zeros)
     ratio = Fraction(divisible, total * total)
     record = CensusRecord(n, p, divisible, total * total, ratio, float(ratio))
     return CensusResult(record, tuple(summaries), hits, len(labels) - hits)

@@ -47,6 +47,7 @@ only in the tests, as the oracle both routes are checked against.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import islice
 
 from .padic import _require_prime
 from .partitions import Partition, _bead_mask, _mask_partition, enumerate_partitions, partition_count
@@ -218,14 +219,14 @@ def _reduce_lanes(reached: dict, targets: tuple, k: int, p: int) -> list:
 
 def _nonzero_lanes(reached: dict, k: int, p: int) -> list[int]:
     # For each of the k lanes, how many reached values are nonzero mod p
-    # there, reduced 1024 at a time as in _reduce_lanes.
-    values = list(reached.values())
+    # there, read from the dict and reduced 1024 at a time as in
+    # _reduce_lanes, with no copy of the values.
     if k == 1:
-        return [sum(1 for v in values if v % p)]
+        return [sum(1 for v in reached.values() if v % p)]
     table = bytes(int(x % p == 0) for x in range(256))
-    nonzero = [len(values)] * k
-    for start in range(0, len(values), 1024):
-        flat = b"".join([v.to_bytes(k, "little") for v in values[start:start + 1024]]).translate(table)
+    nonzero = [len(reached)] * k
+    values = iter(reached.values())
+    while flat := b"".join([v.to_bytes(k, "little") for v in islice(values, 1024)]).translate(table):
         for j in range(k):
             nonzero[j] -= flat[j::k].count(1)
     return nonzero

@@ -9,7 +9,9 @@ instead of the package's forward rim-hook addition over whole columns.
 dimension (the hook-length formula on direct arm/leg counts) and
 centralizer_order (the product formula, itself checked against permutation
 counting) give the values the columns must reproduce, and
-square_root_count (squaring every permutation) the column sums.  k_core, the abacus
+square_root_count (squaring every permutation) the column sums, and
+square_root_formula the same sums in closed form at sizes no brute force
+reaches.  k_core, the abacus
 push-down, groups partitions by core and weight for the package's
 multipartition counts; it is itself checked against naive_core_terminals
 (exhaustive border-strip stripping) and greedy_core (stripping in a random
@@ -175,6 +177,28 @@ def square_root_count(mu):
         for sigma in itertools.permutations(range(len(rep)))
         if all(sigma[sigma[i]] == rep[i] for i in range(len(rep)))
     )
+
+
+def square_root_formula(mu):
+    """r(mu), the number of square roots of a permutation of cycle type mu,
+    in closed form: a product over the distinct parts a of mu, with
+    multiplicity b, of the ways to pair some of the a-cycles (a pair is the
+    square of a 2a-cycle, in a ways) and, for odd a only, to take each other
+    a-cycle as the square of an a-cycle (in one way).  So odd a gives
+    sum_j b!/(j! (b-2j)! 2^j) a^j over j pairs, and even a gives 0 for odd b
+    and (b-1)!! a^(b/2) for even b."""
+    roots = 1
+    for a, b in Counter(mu).items():
+        if a % 2:
+            roots *= sum(
+                math.factorial(b) // (math.factorial(j) * math.factorial(b - 2 * j) * 2**j) * a**j
+                for j in range(b // 2 + 1)
+            )
+        elif b % 2:
+            return 0
+        else:
+            roots *= math.prod(range(b - 1, 0, -2)) * a ** (b // 2)
+    return roots
 
 
 def naive_rim_hook_removals(parts, t):

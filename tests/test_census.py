@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from _oracles import dimension, mn_character, naive_is_core, square_root_count
+from _oracles import dimension, mn_character, naive_is_core, square_root_count, square_root_formula
 from conftest import dense, inject_column_fault, partitions_of
 from snchar import census, characters
 from snchar.census import (
@@ -445,10 +445,11 @@ def test_column_sums_count_square_roots():
     # the census's p = 2 certificate: every character of S_n is real with
     # Frobenius-Schur indicator 1, so a column sums to r(mu), the number of
     # square roots of a permutation of type mu, which is odd exactly when
-    # mu's parts are odd and distinct
+    # mu's parts are odd and distinct; the closed form gives the same count
     for n in range(8):
         for mu in partitions_of(n):
             roots = square_root_count(mu)
+            assert roots == square_root_formula(mu), mu
             assert roots == sum(mn_character(alpha, mu) for alpha in partitions_of(n)), mu
             assert roots % 2 == (all(a % 2 for a in mu) and len(set(mu)) == len(mu)), mu
 
@@ -471,6 +472,22 @@ def test_census_checks_frobenius_schur_parity(monkeypatch, capsys, jobs):
     assert captured.out == ""
     assert captured.err.startswith("check failed: ") and "Frobenius" in captured.err
     assert "column of 11,1 in S_12 has 10 odd entries" in captured.err
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_census_that_fails_a_check_stores_nothing(monkeypatch, tmp_path, capsys, jobs):
+    # one class too many in the fiber of (11, 1) breaks the fibers' cover of
+    # the p(12) classes, the last check a census makes; the store is written
+    # only after it
+    real = census.fiber_size
+    monkeypatch.setattr(census, "fiber_size", lambda lam, p: real(lam, p) + (lam == (11, 1)))
+    monkeypatch.setattr(census.os, "cpu_count", lambda: 2)
+    code = main(["census", "--n", "12", "--p", "2", "--jobs", jobs, "--cache-dir", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("check failed: fiber sizes cover ")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_census_checks_frobenius_schur_parity_of_a_stored_file(tmp_path):

@@ -12,6 +12,7 @@ from _oracles import (
     naive_is_core,
     rectangular_character,
     rectangular_zero_count,
+    square_root_formula,
 )
 from conftest import dense, partitions_of
 from snchar import characters
@@ -208,6 +209,30 @@ def test_column_orthogonality():
             for nu in labels[i:]:
                 dot = sum(x * y for x, y in zip(columns[mu], columns[nu]))
                 assert dot == (centralizer_order(mu) if mu == nu else 0)
+
+
+@pytest.mark.parametrize("mu", [
+    (12, 12, 12),
+    (7, 7, 7, 7, 5, 3),
+    (9, 7, 5, 3, 3, 3, 2, 2, 1, 1),
+    (5,) * 8,
+    (3,) * 12,
+    (6, 5, 4, 3, 2) + (1,) * 10,
+    (4,) * 12,
+    (11, 9, 7, 5, 3, 1),
+], ids=str)
+def test_column_certificates_at_frontier_sizes(mu):
+    # Frobenius-Schur (a column sums to r(mu)) and column orthogonality (its
+    # squares sum to z_mu), exactly, mod 3 and 5 and, as the parity of the
+    # odd entries, mod 2, at sizes the brute-force oracles never reach
+    mu = P(*mu)
+    roots = square_root_formula(mu)
+    column = compute_column(mu).values()
+    assert sum(column) == roots
+    assert sum(v * v for v in column) == centralizer_order(mu)
+    for p in (3, 5):
+        assert sum(compute_column(mu, p).values()) % p == roots % p
+    assert (partition_count(mu.n) - zero_counts([mu], 2)[0]) % 2 == roots % 2
 
 
 def test_core_rows_vanish():
