@@ -7,9 +7,11 @@ mask, having no bead x with x - k vacant.
 The census takes the zero count mod p of one column per p-regular label and
 reuses it across the label's whole fiber; that shortcut is itself verified
 exhaustively at small n by check_fiber_congruence, which returns the first
-mismatch it finds, or None.  The counts come from one zero_counts call over
-the trie of the labels' digit representatives, the fiber members with the
-fewest parts, so no column is kept and nothing outlives the call.  Two
+mismatch it finds, or None; check_core_vanishing's report is plain data,
+and its violations are empty when the k-core rows vanish.  The counts come
+from one zero_counts call over the trie of the labels' digit
+representatives, the fiber members with the fewest parts, so no column is
+kept and nothing outlives the call.  Two
 closed forms check every census, loaded or computed, without the kernel:
 Macdonald's count of the degrees prime to p on the label 1^n and, for
 p = 2, the Frobenius-Schur parity of each column's odd entries.  The store
@@ -125,7 +127,8 @@ class CensusResult(NamedTuple):
 
 
 class CoreVanishReport(NamedTuple):
-    """Exact zero check of k-core rows on classes whose largest part is k."""
+    """Exact zero check of k-core rows on classes whose largest part is k;
+    the rows vanish exactly when violations (row, class, value) is empty."""
 
     n: int
     k: int
@@ -133,10 +136,6 @@ class CoreVanishReport(NamedTuple):
     class_count: int
     pairs_checked: int
     violations: tuple[tuple[Partition, Partition, int], ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
 
 
 class ColumnCacheError(ValueError):

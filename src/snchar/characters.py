@@ -108,8 +108,9 @@ def _forward_column(parts, modulus: int | None) -> dict[int, int]:
 
 
 def zero_counts(labels, p: int) -> tuple[int, ...]:
-    """Zero count mod a prime p of the column of each class in labels, in the
-    order given; the classes are partitions of one n, and no classes give ().
+    """Zero count mod a prime p of the column of each class in labels (any
+    iterable, read once), in the order given; the classes are partitions of
+    one n, and no classes give ().
 
     The classes' ascending parts form a trie: a node of size m, the parts
     added so far, takes a step (m, t) to its child by adding a rim hook of
@@ -121,7 +122,8 @@ def zero_counts(labels, p: int) -> tuple[int, ...]:
     that reads it.
     """
     _require_prime(p)
-    n, *others = {Partition(lam).n for lam in labels} or {0}  # no classes: an empty trie
+    classes = [Partition(lam) for lam in labels]
+    n, *others = {lam.n for lam in classes} or {0}  # no classes: an empty trie
     if others:
         raise ValueError("the classes must be partitions of one n")
     # The trie of the classes' ascending parts: node 0 is the empty prefix,
@@ -129,7 +131,7 @@ def zero_counts(labels, p: int) -> tuple[int, ...]:
     child: dict[tuple[int, int], int] = {}  # (node, t) -> the node plus a part t
     steps: dict[tuple[int, int], list] = {}  # (m, t) -> the nodes of size m that add t
     ends = []  # the node of each class
-    for lam in labels:
+    for lam in classes:
         node = m = 0
         for t in reversed(lam):
             if (node, t) not in child:

@@ -4,14 +4,16 @@ fiber checks, bound sweeps, and core-vanishing verification.
 Output is CSV (default) or JSON on stdout; progress and cache statistics go
 to stderr.  Exit codes: 0 all checks passed, 1 some verification failed or
 stdout was closed before the output ended (quietly, as under `| head`),
-2 invalid input.
+2 invalid input.  A checking command reads its exit code off the rows it
+printed: 1 when some row's congruent (fibers), ok (verify-core-vanish) or
+holds (verify-bounds) cell is false.
 
 column, theorem-check's survey, the census JSON record and verify-bounds
 print the reports of census and bounds as they are, field for field.  The
 census column rows, fibers rows, the theorem-check --lambda row and
 verify-core-vanish rows are built here: they add per-run context (n, p,
 total, a label's fiber size) to what the census and padic functions return,
-or condense a report (a count of violations).
+or condense a report (a count of violations, and ok when there are none).
 
 Each command imports the modules it runs when it runs, so a bound sweep never
 loads the census kernel and a census never loads the bound checkers; json
@@ -135,7 +137,6 @@ def cmd_fibers(args) -> int:
     else:
         labels = padic.p_regular_partitions(args.n, args.p)
     rows = []
-    failed = False
     for lam in labels:
         size = padic.fiber_size(lam, args.p)
         congruent = census.check_fiber_congruence(lam, args.p) is None
@@ -148,9 +149,8 @@ def cmd_fibers(args) -> int:
                 "fiber_size": size,
                 "congruent": congruent,
             })
-        failed = failed or not congruent
     _emit(rows, args.format)
-    return 1 if failed else 0
+    return 1 if any(not row["congruent"] for row in rows) else 0
 
 
 def cmd_theorem_check(args) -> int:
@@ -193,23 +193,18 @@ def cmd_verify_bounds(args) -> int:
         }[args.lemma]
         rows = [check(n, k) for n in range(first_n, args.max_n + 1)
                 for k in range(1, min(n, args.max_k or n) + 1)]
-    failed = any(row.get("holds") is False for row in rows)
     _emit(rows, args.format)
-    return 1 if failed else 0
+    return 1 if any(row.get("holds") is False for row in rows) else 0
 
 
 def cmd_verify_core_vanish(args) -> int:
     from . import census
 
-    rows = []
-    failed = False
-    for n in range(1, args.max_n + 1):
-        for k in range(1, n + 1):
-            report = census.check_core_vanishing(n, k)
-            rows.append({**report._asdict(), "violations": len(report.violations), "ok": report.ok})
-            failed = failed or not report.ok
+    rows = [{**report._asdict(), "violations": len(report.violations), "ok": not report.violations}
+            for n in range(1, args.max_n + 1) for k in range(1, n + 1)
+            for report in [census.check_core_vanishing(n, k)]]
     _emit(rows, args.format)
-    return 1 if failed else 0
+    return 1 if any(not row["ok"] for row in rows) else 0
 
 
 def _int_at_least(low: int):

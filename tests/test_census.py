@@ -127,12 +127,12 @@ def test_core_vanishing_k1_vacuous():
         report = check_core_vanishing(n, 1)
         assert report.core_count == 0
         assert report.pairs_checked == 0
-        assert report.ok
+        assert not report.violations
 
 
 def test_core_vanishing_example():
     report = check_core_vanishing(5, 3)
-    assert report.ok
+    assert not report.violations
     assert report.core_count == 1  # the 3-core (3,1,1)
     assert report.class_count == 2  # (3,2) and (3,1,1)
 
@@ -140,7 +140,7 @@ def test_core_vanishing_example():
 def test_core_vanishing_sweep_small():
     for n in range(1, 11):
         for k in range(1, n + 1):
-            assert check_core_vanishing(n, k).ok
+            assert not check_core_vanishing(n, k).violations
 
 
 def test_core_vanishing_lists_nonzero_core_rows(monkeypatch):
@@ -148,7 +148,7 @@ def test_core_vanishing_lists_nonzero_core_rows(monkeypatch):
     # its dimension there; violations keep enumeration order
     inject_column_fault(monkeypatch, P(4, 1, 1), mu=P(1, 1, 1, 1, 1, 1))
     report = check_core_vanishing(6, 4)
-    assert not report.ok
+    assert report.violations
     assert report.violations == tuple(
         (alpha, P(4, 1, 1), dimension(alpha))
         for alpha in partitions_of(6)
@@ -175,7 +175,7 @@ def test_core_vanishing_sees_a_wrong_leg_sign(monkeypatch):
     # that added the largest part k last would never reach them
     real = characters._hooks
     monkeypatch.setattr(characters, "_hooks", lambda mask, t: (sum(real(mask, t), []), []))
-    assert any(not check_core_vanishing(n, k).ok for n in range(1, 9) for k in range(1, n + 1))
+    assert any(check_core_vanishing(n, k).violations for n in range(1, 9) for k in range(1, n + 1))
 
 
 def test_core_vanishing_validation():
@@ -452,6 +452,20 @@ def test_column_sums_count_square_roots():
             assert roots == square_root_formula(mu), mu
             assert roots == sum(mn_character(alpha, mu) for alpha in partitions_of(n)), mu
             assert roots % 2 == (all(a % 2 for a in mu) and len(set(mu)) == len(mu)), mu
+
+
+@pytest.mark.parametrize("n, p", [(22, 3), (20, 5)])
+def test_every_census_column_sums_to_its_square_root_count(n, p):
+    # the odd-p certificate at census scale: the column mod p of each label's
+    # digit representative rho sums to r(rho) mod p, and its nonzero entries
+    # number p(n) less the label's census zero count, so both kernels answer
+    # to a closed form that neither computes
+    total = partition_count(n)
+    for col in table_census(n, p).columns:
+        rho = digit_representative(col.label, p)
+        column = compute_column(rho, p)
+        assert sum(column.values()) % p == square_root_formula(rho) % p, col.label
+        assert total - len(column) == col.zero_count, col.label
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])

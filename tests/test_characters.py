@@ -314,12 +314,17 @@ def test_memo_cache_statistics(monkeypatch):
 
 
 def test_zero_counts_any_classes_in_given_order():
-    # every class, not only p-regular ones, in reverse order with repeats
+    # every class, not only p-regular ones, in reverse order with repeats,
+    # given as a list or as an iterator that can be read only once
     for n in range(9):
         classes = list(reversed(partitions_of(n))) + [partitions_of(n)[0]]
         for p in (2, 3):
             expected = tuple(dense(compute_column(mu, p), n).count(0) for mu in classes)
             assert zero_counts(classes, p) == expected
+            assert zero_counts(iter(classes), p) == expected
+            regular = tuple(dense(compute_column(mu, p), n).count(0)
+                            for mu in p_regular_partitions(n, p))
+            assert zero_counts(p_regular_partitions(n, p), p) == regular
 
 
 def test_zero_counts_one_class_steps_match_compute_column_on_random_pairs():
